@@ -27,12 +27,8 @@ import (
 	"sstore/internal/wire"
 )
 
-// Result is a Call's client-visible outcome, mirroring sstore.Result.
-type Result struct {
-	Columns         []string
-	Rows            []sstore.Row
-	LastInsertBatch int64
-}
+// Result is a Call's or Query's client-visible outcome.
+type Result = sstore.Result
 
 // Stats is the server engine's counter snapshot.
 type Stats = wire.Stats

@@ -257,8 +257,9 @@ func (cc *ClusterClient) NodeStats() (map[int]Stats, error) {
 	return out, nil
 }
 
-// Stats sums the counters across all nodes into one cluster-wide
-// snapshot.
+// Stats combines the counters across all nodes into one cluster-wide
+// snapshot (see Stats.Add): counts sum, PeakConcurrent is the largest
+// any node reports.
 func (cc *ClusterClient) Stats() (Stats, error) {
 	per, err := cc.NodeStats()
 	if err != nil {
@@ -266,17 +267,7 @@ func (cc *ClusterClient) Stats() (Stats, error) {
 	}
 	var sum Stats
 	for _, st := range per {
-		sum.Executed += st.Executed
-		sum.Aborted += st.Aborted
-		sum.LogAppends += st.LogAppends
-		sum.LogSyncs += st.LogSyncs
-		sum.ClientTrips += st.ClientTrips
-		sum.EECrossings += st.EECrossings
-		sum.Overloaded += st.Overloaded
-		sum.HandoffsSent += st.HandoffsSent
-		sum.HandoffsRecv += st.HandoffsRecv
-		sum.HandoffsDup += st.HandoffsDup
-		sum.HandoffsPending += st.HandoffsPending
+		sum.Add(st)
 	}
 	return sum, nil
 }

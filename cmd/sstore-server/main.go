@@ -46,7 +46,7 @@ func main() {
 	partitions := flag.Int("partitions", 1, "number of partitions (execution sites)")
 	maxQueue := flag.Int("max-queue", 0, "per-partition queue depth bound for border backpressure (0 = unbounded)")
 	recoveryMode := flag.String("recovery", "none", "recovery mode: none, strong, or weak")
-	logPath := flag.String("log", "", "command-log path (required for -recovery strong|weak)")
+	logPath := flag.String("log", "", "command-log directory, created if missing (required for -recovery strong|weak)")
 	snapshots := flag.String("snapshots", "", "checkpoint snapshot directory")
 	group := flag.Bool("group-commit", false, "use group commit (SyncGroup) instead of per-commit fsync")
 	clusterSpec := flag.String("cluster", "", "cluster map 'id@host:port=p0,p1;...' (all nodes get the same map)")

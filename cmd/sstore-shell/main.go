@@ -89,9 +89,7 @@ func command(eng *sstore.Engine, line string) bool {
 	case "\\quit", "\\q":
 		return false
 	case "\\stats":
-		s := eng.Stats()
-		fmt.Printf("executed=%d aborted=%d log_appends=%d log_syncs=%d\n",
-			s.Executed, s.Aborted, s.LogAppends, s.LogSyncs)
+		fmt.Printf("%+v\n", eng.Stats())
 	case "\\tables":
 		infos, err := eng.Tables(0)
 		if err != nil {

@@ -80,7 +80,7 @@ func fig10SStore(opts Options, cfg leaderboard.Config, votes int) (float64, erro
 		ClientRTT:   netsim.DefaultClientRTT,
 		EEDispatch:  netsim.DefaultEEDispatch,
 		Recovery:    recovery.ModeWeak,
-		LogPath:     filepath.Join(scratch, "fig10-cmd.log"),
+		LogPath:     filepath.Join(scratch, "fig10-log"),
 		LogPolicy:   wal.SyncNone,
 		SnapshotDir: scratch,
 	})

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"sstore/internal/benchutil"
@@ -53,7 +52,7 @@ func fig9Run(dir string, mode recovery.Mode, spCount, k int) (float64, uint64, e
 	defer os.RemoveAll(scratch)
 	eng, err := chainEngine(spCount, true, pe.Options{
 		Recovery:    mode,
-		LogPath:     filepath.Join(scratch, "cmd.log"),
+		LogPath:     scratch,
 		LogPolicy:   wal.SyncEachCommit,
 		SnapshotDir: scratch,
 	})
@@ -118,7 +117,7 @@ func fig9Recover(dir string, mode recovery.Mode, spCount, k int) (float64, error
 		return chainEngine(spCount, true, pe.Options{
 			ClientRTT:   netsim.DefaultClientRTT, // recovery replay is client-driven
 			Recovery:    mode,
-			LogPath:     filepath.Join(scratch, "cmd.log"),
+			LogPath:     scratch,
 			LogPolicy:   wal.SyncEachCommit,
 			SnapshotDir: scratch,
 		})

@@ -198,7 +198,7 @@ func scaleRoutedLoggedProbe(opts Options, parts int) (float64, error) {
 	}
 	eng, err := scaleRoutedEngine(parts, pe.Options{
 		Recovery:    recovery.ModeStrong,
-		LogPath:     scratch, // directory: one cmd-p<N>.log per partition
+		LogPath:     scratch,
 		LogPolicy:   wal.SyncGroup,
 		SnapshotDir: scratch,
 		PartitionBy: routeBoth,

@@ -1,6 +1,6 @@
 package experiments
 
-// The spill experiment is the storage-manager seam's headline number:
+// The spill experiment is the archive tables' headline number:
 // an append-only history table declared ARCHIVE keeps only a bounded
 // buffer pool in memory and spills the rest to its page file, and the
 // claim under test is that ingest throughput stays close to the

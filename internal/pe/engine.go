@@ -19,10 +19,12 @@ import (
 	"sstore/internal/stream"
 	"sstore/internal/types"
 	"sstore/internal/wal"
+	"sstore/internal/wire"
 	"sstore/internal/workflow"
 )
 
-// Options configures an Engine.
+// Options configures an Engine. The zero value is a single-partition,
+// no-logging, no-network-simulation engine.
 type Options struct {
 	// Partitions is the number of execution sites; one core each
 	// (§3.1). Defaults to 1.
@@ -49,11 +51,9 @@ type Options struct {
 	EEDispatch time.Duration
 	// Recovery selects the logging/recovery scheme (§3.2.5).
 	Recovery recovery.Mode
-	// LogPath is the command-log location, required when Recovery is
-	// not ModeNone. The log is sharded one file per partition: an
-	// existing directory holds <dir>/cmd-p<N>.log, any other path is
-	// used as a file-name prefix (<path>.p<N>). A legacy unsharded
-	// log at exactly <path> is still replayed.
+	// LogPath is the command-log directory, created if missing and
+	// required when Recovery is not ModeNone. The log is sharded one
+	// file per partition, <dir>/cmd-p<N>.log. See DESIGN.md §5.
 	LogPath string
 	// LogPolicy selects commit durability (§3.1; Figure 9a runs
 	// without group commit, i.e. SyncEachCommit).
@@ -980,10 +980,10 @@ func (e *Engine) Tables(pid int) ([]TableInfo, error) {
 }
 
 // SPExecutions returns the number of committed TEs of one stored
-// procedure across all partitions. Like Stats, it reads the counters
-// without synchronization; values are exact after Drain and
-// monitoring-grade while traffic runs (the benchmark drivers sample
-// deltas over a window).
+// procedure across all partitions. It reads the counters without
+// synchronization; values are exact after Drain and monitoring-grade
+// while traffic runs (the benchmark drivers sample deltas over a
+// window).
 func (e *Engine) SPExecutions(sp string) uint64 {
 	var n uint64
 	for _, p := range e.parts {
@@ -1012,60 +1012,22 @@ func (e *Engine) TriggerErr() error {
 	return nil
 }
 
-// Stats aggregates engine counters.
-type Stats struct {
-	Executed    uint64
-	Aborted     uint64
-	LogAppends  uint64
-	LogSyncs    uint64
-	ClientTrips uint64
-	EECrossings uint64
-	// Overloaded counts border submissions (Calls and ingested
-	// batches) rejected by the MaxQueueDepth backpressure bound.
-	Overloaded uint64
-	// TriggerErrors counts reply-less TE failures (PE-triggered
-	// interior TEs and trigger-dispatch misses) cumulatively, across
-	// all partitions; unlike TriggerErr it is never cleared.
-	TriggerErrors uint64
-	// TasksParallel and TasksSerial split dispatcher-executed tasks
-	// by path under Options.Workers: wave members whose bodies ran
-	// concurrently vs serial fallbacks (conflicting, undeclared,
-	// trigger-producing, nested, control, or lone tasks). Both stay
-	// zero on a classic serial engine.
-	TasksParallel uint64
-	TasksSerial   uint64
-	// PeakConcurrent is the maximum number of TE bodies any partition
-	// had in flight at once (1 when never parallel).
-	PeakConcurrent int
-	// HandoffsSent/HandoffsRecv/HandoffsDup count cross-node batch
-	// hand-offs: sent to peers, admitted from peers, and re-deliveries
-	// suppressed by this node's exactly-once ledger. HandoffsPending is
-	// the sends not yet acknowledged by their receiving node — a
-	// cluster is quiescent only when every node drains AND reports zero
-	// pending. All zero on a single-node engine.
-	HandoffsSent    uint64
-	HandoffsRecv    uint64
-	HandoffsDup     uint64
-	HandoffsPending int
-	// AutoCheckpoints counts checkpoints taken by the
-	// CheckpointEveryBytes policy.
-	AutoCheckpoints uint64
-}
+// Stats is the engine's counter snapshot; wire.Stats documents each
+// counter.
+type Stats = wire.Stats
 
-// Stats returns a snapshot of engine counters. Executed/Aborted are
-// read without synchronization while traffic may be running; treat
-// them as monitoring approximations (exact after Drain).
+// Stats returns a snapshot of engine counters. Each counter is read
+// atomically, but not all at one instant: while traffic runs they are
+// monitoring values, exact after Drain.
 func (e *Engine) Stats() Stats {
 	var s Stats
 	for _, p := range e.parts {
-		s.Executed += p.executed
-		s.Aborted += p.aborted
+		s.Executed += p.executed.Load()
+		s.Aborted += p.aborted.Load()
 		s.TriggerErrors += p.triggerErrs.Load()
 		s.TasksParallel += p.tasksParallel.Load()
 		s.TasksSerial += p.tasksSerial.Load()
-		if pc := int(p.peakConcurrent.Load()); pc > s.PeakConcurrent {
-			s.PeakConcurrent = pc
-		}
+		s.PeakConcurrent = max(s.PeakConcurrent, uint64(p.peakConcurrent.Load()))
 	}
 	s.Overloaded = e.overloaded.Load()
 	s.HandoffsSent, s.HandoffsRecv, s.HandoffsDup, s.HandoffsPending = e.HandoffStats()
@@ -1083,12 +1045,6 @@ func (e *Engine) Stats() Stats {
 }
 
 // --- Checkpoint & recovery ---
-
-// snapshotPath is the legacy (pre-manifest) per-partition snapshot
-// name, still loaded when no manifest exists.
-func (e *Engine) snapshotPath(pid int) string {
-	return filepath.Join(e.opts.SnapshotDir, fmt.Sprintf("snapshot.p%d", pid))
-}
 
 // genSnapshotPath names one partition's snapshot file within a
 // checkpoint generation; the generation is committed by the manifest.
@@ -1169,15 +1125,10 @@ func (e *Engine) checkpointArchives(p *partition, stamp uint64) error {
 // page-file copy), so every table whose snapshot entry announced
 // archived rows now restores its page file. Runs on the partition
 // goroutine via onPartition.
-func (e *Engine) restoreArchives(p *partition, stamp uint64, committed bool) error {
+func (e *Engine) restoreArchives(p *partition, stamp uint64) error {
 	for _, t := range p.cat.Tables() {
 		if !t.ArchiveAwaitingPages() {
 			continue
-		}
-		if !committed {
-			// Legacy pre-manifest snapshots predate archive tables; an
-			// archive entry inside one means the manifest was damaged.
-			return fmt.Errorf("pe: archive table %q requires a committed snapshot generation", t.Name())
 		}
 		if err := t.ArchiveRestore(e.genPagePath(p.id, t.Name(), stamp)); err != nil {
 			return fmt.Errorf("pe: archive restore %s: %w", t.Name(), err)
@@ -1187,8 +1138,7 @@ func (e *Engine) restoreArchives(p *partition, stamp uint64, committed bool) err
 }
 
 // cleanupSnapshotGenerations best-effort removes snapshot files of
-// generations other than keep — superseded generations and legacy
-// plain files — once a new manifest has committed.
+// generations other than keep once a new manifest has committed.
 func (e *Engine) cleanupSnapshotGenerations(keep uint64) {
 	ents, err := os.ReadDir(e.opts.SnapshotDir)
 	if err != nil {

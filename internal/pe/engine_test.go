@@ -641,7 +641,7 @@ func TestRecoveryStrongAcrossLogSegments(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		Recovery:        recovery.ModeStrong,
-		LogPath:         dir + "/cmd.log",
+		LogPath:         dir,
 		LogPolicy:       wal.SyncEachCommit,
 		LogSegmentBytes: 256, // rotate every few records
 		SnapshotDir:     dir,
@@ -668,7 +668,7 @@ func TestRecoveryStrongAcrossLogSegments(t *testing.T) {
 	}
 	rotated := 0
 	for _, ent := range ents {
-		// shard segments are cmd.log.p<N>.s<k>
+		// shard segments are cmd-p<N>.log.s<k>
 		if i := strings.LastIndex(ent.Name(), ".s"); i >= 0 {
 			if _, err := strconv.Atoi(ent.Name()[i+2:]); err == nil {
 				rotated++
@@ -706,4 +706,40 @@ func TestRecoveryStrongAcrossLogSegments(t *testing.T) {
 		t.Errorf("post-checkpoint sink = %v", res.Rows[0][0])
 	}
 	e2.Close()
+}
+
+// TestStatsDuringTraffic reads Stats from another goroutine while
+// batches commit; under -race an unsynchronized counter fails it.
+func TestStatsDuringTraffic(t *testing.T) {
+	e := newEngine(t, Options{})
+	deployChain(t, e, 2, nil)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.Stats()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	const batches = 100
+	for b := int64(1); b <= batches; b++ {
+		if err := e.Ingest("s1", &stream.Batch{ID: b, Rows: []types.Row{{types.NewInt(b)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().Executed; got != 2*batches {
+		t.Errorf("executed = %d, want %d", got, 2*batches)
+	}
 }

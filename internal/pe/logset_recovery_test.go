@@ -612,60 +612,87 @@ func deployFanOutChain(t *testing.T, e *Engine) {
 	}
 }
 
-// TestLegacyUnshardedLogReplays: a log written pre-sharding (one file
-// at exactly LogPath) still recovers on the sharded engine; new
-// commits then go to the shards with LSNs continuing past the legacy
-// records.
-func TestLegacyUnshardedLogReplays(t *testing.T) {
+// TestStrongReplayKeepsPartitionsBatchesApart: batch IDs are unique
+// only per (stream, partition), so two partitions' border TEs produce
+// interior batches with the same ID. A hand-written log interleaves
+// them — border p0 b1, border p1 b1, interior p0 b1, interior p1 b1 —
+// and strong replay must hand each interior TE its own partition's
+// batch.
+func TestStrongReplayKeepsPartitionsBatchesApart(t *testing.T) {
+	const parts = 2
 	dir := t.TempDir()
-	base := dir + "/cmd.log"
-	// Hand-write a legacy single-file log holding two border records,
-	// as the seed engine would have.
-	l, err := wal.Open(wal.Options{Path: base, Policy: wal.SyncEachCommit})
+	ls, err := wal.OpenSet(wal.SetOptions{Path: dir, Partitions: parts, Policy: wal.SyncEachCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := int64(1); b <= 2; b++ {
-		_, err := l.Append(&wal.Record{
-			Kind:    wal.KindBorder,
-			SP:      "SP1",
-			BatchID: b,
-			Params:  types.Row{types.NewInt(b)},
-			Batch:   []types.Row{{types.NewInt(b * 10)}},
-		})
-		if err != nil {
+	border := func(pid int, k, v int64) *wal.Record {
+		return &wal.Record{
+			Kind: wal.KindBorder, Partition: pid, SP: "Split", BatchID: 1,
+			Params: types.Row{types.NewInt(1)},
+			Batch:  []types.Row{{types.NewInt(k), types.NewInt(v)}},
+		}
+	}
+	interior := func(pid int) *wal.Record {
+		return &wal.Record{Kind: wal.KindInterior, Partition: pid, SP: "Work", BatchID: 1, Params: types.Row{types.NewInt(1)}}
+	}
+	// Keys 0 and 1 route the "jobs" batches to partitions 0 and 1.
+	for _, rec := range []*wal.Record{border(0, 0, 100), border(1, 1, 200), interior(0), interior(1)} {
+		if _, err := ls.Append(rec.Partition, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.Close()
-
-	opts := Options{
-		Recovery:    recovery.ModeStrong,
-		LogPath:     base,
-		LogPolicy:   wal.SyncEachCommit,
-		SnapshotDir: dir,
+	if err := ls.Close(); err != nil {
+		t.Fatal(err)
 	}
-	e := newEngine(t, opts)
-	deployChain(t, e, 2, nil)
+
+	e := newEngine(t, routedLogOpts(dir, parts, recovery.ModeStrong))
+	deployRoutedPipeline(t, e)
 	if err := e.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := e.AdHoc(0, "SELECT COUNT(*) FROM sink")
-	if res.Rows[0][0].Int() != 4 { // 2 batches × 2 SPs
-		t.Fatalf("sink rows = %v, want 4", res.Rows[0][0])
+	got := resultsAcross(t, e, parts)
+	want := map[int64]int64{100: 0, 200: 1} // value → partition
+	if len(got) != len(want) {
+		t.Fatalf("recovered %v, want %v", got, want)
 	}
-	// New traffic logs into the shard past the legacy LSNs.
-	if err := e.IngestSync("s1", &stream.Batch{ID: 3, Rows: []types.Row{{types.NewInt(30)}}}); err != nil {
+	for v, p := range want {
+		if gp, ok := got[v]; !ok || gp != p {
+			t.Errorf("value %d recovered on partition %d (present %v), want %d", v, gp, ok, p)
+		}
+	}
+}
+
+// TestNoSnapshotDirLoadsNoCheckpoint: an engine without SnapshotDir has
+// no checkpoint, even when its working directory holds a committed one.
+func TestNoSnapshotDirLoadsNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newEngine(t, Options{SnapshotDir: dir})
+	deployChain(t, e1, 2, nil)
+	if err := e1.IngestSync("s1", &stream.Batch{ID: 1, Rows: []types.Row{{types.NewInt(10)}}}); err != nil {
 		t.Fatal(err)
 	}
-	e.Drain()
-	recs, err := wal.ReadAll(wal.PartitionPath(base, 0))
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("shard 0: %d records (%v)", len(recs), err)
+	if err := e1.Drain(); err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if r.LSN <= 2 {
-			t.Errorf("shard record LSN %d collides with legacy log", r.LSN)
-		}
+	if err := e1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir + "/snapshot.manifest"); err != nil {
+		t.Fatalf("checkpoint left no manifest: %v", err)
+	}
+	e1.Close()
+
+	t.Chdir(dir)
+	e2 := newEngine(t, Options{})
+	deployChain(t, e2, 2, nil)
+	if _, err := e2.LoadSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e2.AdHoc(0, "SELECT COUNT(*) FROM sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].Int(); n != 0 {
+		t.Errorf("sink holds %d rows from the working directory's checkpoint, want 0", n)
 	}
 }

@@ -46,9 +46,11 @@ type partition struct {
 	spAccess map[string]*ee.AccessSet
 	spWave   map[string]bool
 
-	nextTxn  uint64
-	executed uint64
-	aborted  uint64
+	nextTxn uint64
+	// executed/aborted count TEs; only this partition's goroutine
+	// writes them, but Stats reads them from any goroutine.
+	executed atomic.Uint64
+	aborted  atomic.Uint64
 	// txnFree/ectxFree/pcFree recycle partition-confined hot structs
 	// (see pool.go); dispatcher-goroutine only.
 	txnFree  []*txn.Txn
@@ -410,7 +412,7 @@ func (p *partition) retireSP(r *spRun) {
 	t := r.t
 	err := r.err
 	if err != nil {
-		p.aborted++
+		p.aborted.Add(1)
 		if rbErr := r.tx.Rollback(); rbErr != nil {
 			err = fmt.Errorf("%w (rollback: %v)", err, rbErr)
 		}
@@ -420,7 +422,7 @@ func (p *partition) retireSP(r *spRun) {
 		return
 	}
 	if err := p.logCommit(t); err != nil {
-		p.aborted++
+		p.aborted.Add(1)
 		if rbErr := r.tx.Rollback(); rbErr != nil {
 			err = fmt.Errorf("%w (rollback: %v)", err, rbErr)
 		}
@@ -438,7 +440,7 @@ func (p *partition) retireSP(r *spRun) {
 		p.replyTo(t, nil, err)
 		return
 	}
-	p.executed++
+	p.executed.Add(1)
 	p.execBySP[t.sp]++
 	p.afterCommit(t, r.ectx.Appends)
 	res := r.pc.result
@@ -806,7 +808,7 @@ func (p *partition) executeNested(t *task) {
 		if err := sp.Func(pc); err != nil {
 			_ = tx.Rollback()
 			rollbackAll()
-			p.aborted++
+			p.aborted.Add(1)
 			p.replyTo(t, nil, fmt.Errorf("pe: nested child %s: %w", child.sp, err))
 			return
 		}
@@ -837,10 +839,10 @@ func (p *partition) executeNested(t *task) {
 			if commitErr == nil {
 				commitErr = fmt.Errorf("pe: nested child %s commit: %w", r.ectx.SP, err)
 			}
-			p.aborted++
+			p.aborted.Add(1)
 			continue
 		}
-		p.executed++
+		p.executed.Add(1)
 		p.execBySP[r.ectx.SP]++
 		appends = append(appends, r.ectx.Appends...)
 	}

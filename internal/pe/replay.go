@@ -32,9 +32,13 @@ import (
 // record replays.
 
 // stashKey identifies a produced batch parked in the replay stash.
+// Batch IDs are unique only per (stream, partition), so the key also
+// carries the partition that consumes the batch — where live dispatch
+// ran its consumers and so where their log records say they ran.
 type stashKey struct {
 	stream  string
 	batchID int64
+	part    int
 }
 
 // stashedBatch remembers a batch's rows, the partition whose table
@@ -63,22 +67,21 @@ func newReplayStash() *replayStash {
 	return &replayStash{m: make(map[stashKey]stashedBatch), swept: make(map[string]bool)}
 }
 
-func (s *replayStash) put(stream string, batchID int64, pid int, rows []types.Row, refs int) {
+func (s *replayStash) put(k stashKey, pid int, rows []types.Row, refs int) {
 	if refs < 1 {
 		refs = 1
 	}
 	s.mu.Lock()
-	s.m[stashKey{stream: stream, batchID: batchID}] = stashedBatch{rows: rows, pid: pid, refs: refs, taken: make(map[string]bool)}
+	s.m[k] = stashedBatch{rows: rows, pid: pid, refs: refs, taken: make(map[string]bool)}
 	s.mu.Unlock()
 }
 
 // take hands the batch's rows to one consumer's replay, recording
 // which consumer took it; the entry is removed once every consumer
 // has taken it.
-func (s *replayStash) take(stream string, batchID int64, sp string) []types.Row {
+func (s *replayStash) take(k stashKey, sp string) []types.Row {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := stashKey{stream: stream, batchID: batchID}
 	b, ok := s.m[k]
 	if !ok {
 		return nil
@@ -112,8 +115,9 @@ type drainedBatch struct {
 }
 
 // drain empties the stash, returning every parked batch in (stream,
-// batchID) order: drain feeds replay's re-fire pass, and the stash
-// map's iteration order must not leak into the replayed schedule.
+// batchID, consumer partition) order: drain feeds replay's re-fire
+// pass, and the stash map's iteration order must not leak into the
+// replayed schedule.
 func (s *replayStash) drain() []drainedBatch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,40 +127,44 @@ func (s *replayStash) drain() []drainedBatch {
 	}
 	s.m = make(map[stashKey]stashedBatch)
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.stream != out[j].key.stream {
-			return out[i].key.stream < out[j].key.stream
+		a, b := out[i].key, out[j].key
+		if a.stream != b.stream {
+			return a.stream < b.stream
 		}
-		return out[i].key.batchID < out[j].key.batchID
+		if a.batchID != b.batchID {
+			return a.batchID < b.batchID
+		}
+		return a.part < b.part
 	})
 	return out
 }
 
-// LoadSnapshot implements recovery.Engine: it restores the latest
-// committed checkpoint generation into every partition, returning the
-// generation's commit-sequence stamp. The manifest names the
-// generation, so a checkpoint torn between per-partition snapshot
-// writes can never load partitions at mixed stamps; without a
-// manifest (pre-manifest checkpoints) the legacy plain files load as
-// before.
+// LoadSnapshot implements recovery.Engine: it restores the checkpoint
+// generation the manifest in SnapshotDir commits into every partition,
+// returning the generation's commit-sequence stamp. The manifest names
+// the generation, so a checkpoint torn between per-partition snapshot
+// writes can never load partitions at mixed stamps. No SnapshotDir, or
+// no manifest in it, means no checkpoint: it returns 0 and the whole
+// log replays.
 //
 //sstore:deterministic
 func (e *Engine) LoadSnapshot() (uint64, error) {
+	if e.opts.SnapshotDir == "" {
+		return 0, nil
+	}
 	stamp, committed, err := wal.ReadSnapshotManifest(e.opts.SnapshotDir)
-	if err != nil {
+	if err != nil || !committed {
 		return 0, err
 	}
 	var lastLSN uint64
 	for _, p := range e.parts {
-		path := e.snapshotPath(p.id)
-		if committed {
-			path = e.genSnapshotPath(p.id, stamp)
-			if _, err := os.Stat(path); err != nil {
-				// A committed generation is complete by construction;
-				// a missing member means external damage, and loading
-				// around it would silently drop that partition's
-				// checkpointed state.
-				return 0, fmt.Errorf("pe: snapshot generation %d missing %s: %w", stamp, path, err)
-			}
+		path := e.genSnapshotPath(p.id, stamp)
+		if _, err := os.Stat(path); err != nil {
+			// A committed generation is complete by construction; a
+			// missing member means external damage, and loading around
+			// it would silently drop that partition's checkpointed
+			// state.
+			return 0, fmt.Errorf("pe: snapshot generation %d missing %s: %w", stamp, path, err)
 		}
 		var lsn uint64
 		loadErr := e.onPartition(p, func(p *partition) error {
@@ -168,7 +176,7 @@ func (e *Engine) LoadSnapshot() (uint64, error) {
 			// Archive tables' rows live in the generation's page-file
 			// copies, not the row snapshot; restore them now so WAL
 			// redo replays against complete state.
-			return e.restoreArchives(p, stamp, committed)
+			return e.restoreArchives(p, stamp)
 		})
 		if loadErr != nil {
 			return 0, loadErr
@@ -238,7 +246,7 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 		// consumer task; it re-enters them at the logged execution
 		// site inside the TE.
 		if t.inputStream != "" {
-			if rows := e.takeReplayBatch(t.inputStream, rec.BatchID, rec.SP); len(rows) > 0 {
+			if rows := e.takeReplayBatch(stashKey{t.inputStream, rec.BatchID, pid}, rec.SP); len(rows) > 0 {
 				t.batch = rows
 			}
 		}
@@ -258,12 +266,12 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 // scheduling maintains. The stash is created lazily so a recovery
 // driver invoked directly on the engine (bypassing Engine.Recover)
 // still replays correctly.
-func (e *Engine) takeReplayBatch(streamKey string, batchID int64, sp string) []types.Row {
+func (e *Engine) takeReplayBatch(k stashKey, sp string) []types.Row {
 	if e.stash == nil {
 		e.stash = newReplayStash()
 	}
-	e.sweepStreamToStash(streamKey)
-	return e.stash.take(streamKey, batchID, sp)
+	e.sweepStreamToStash(k.stream)
+	return e.stash.take(k, sp)
 }
 
 // sweepStreamToStash moves every pending batch of one stream, on every
@@ -286,7 +294,8 @@ func (e *Engine) sweepStreamToStash(streamKey string) {
 			for _, b := range storage.PendingBatches(tbl) {
 				if rows := storage.BatchRows(tbl, b); len(rows) > 0 {
 					storage.DeleteBatch(tbl, b, nil)
-					e.stash.put(streamKey, b, p.id, rows, refs)
+					k := stashKey{streamKey, b, e.consumerPartition(streamKey, rows, p.id)}
+					e.stash.put(k, p.id, rows, refs)
 				}
 			}
 			return nil
@@ -313,10 +322,21 @@ func (p *partition) stashAppends(t *task, appends []ee.StreamAppend) {
 				storage.DeleteBatch(tbl, ap.BatchID, nil)
 				// One take per consumer: each consumer's logged TE
 				// replays against the same batch.
-				p.eng.stash.put(ap.Table, ap.BatchID, p.id, rows, len(p.eng.consumers[ap.Table]))
+				k := stashKey{ap.Table, ap.BatchID, p.eng.consumerPartition(ap.Table, rows, p.id)}
+				p.eng.stash.put(k, p.id, rows, len(p.eng.consumers[ap.Table]))
 			}
 		}
 	}
+}
+
+// consumerPartition is where live dispatch (dispatchTriggers) runs
+// the consumers of a batch produced on partition pid: its routed
+// partition when PartitionBy spreads work, else pid itself.
+func (e *Engine) consumerPartition(stream string, rows []types.Row, pid int) int {
+	if e.opts.PartitionBy != nil && e.nglobal > 1 && len(rows) > 0 {
+		return wrapPartition(e.opts.PartitionBy(stream, rows), e.nglobal)
+	}
+	return pid
 }
 
 // consumersOf resolves a stream's firing targets: its PE-trigger
@@ -420,10 +440,7 @@ func (e *Engine) FirePendingStreamTriggers() error {
 				remaining = append(remaining, c)
 			}
 		}
-		target := pb.pid
-		if e.opts.PartitionBy != nil && e.nglobal > 1 {
-			target = wrapPartition(e.opts.PartitionBy(pb.stream, pb.rows), e.nglobal)
-		}
+		target := e.consumerPartition(pb.stream, pb.rows, pb.pid)
 		if len(remaining) == 0 {
 			// Every consumer of this batch already replayed (possible
 			// only with duplicate records): park the rows back in the

@@ -208,11 +208,11 @@ func (e *Engine) DeliverHandoff(from, target int, streamName string, batchID int
 // HandoffStats reports the cluster hand-off counters: batches sent to
 // peers, received from peers, re-deliveries suppressed by the ledger,
 // and sends not yet acknowledged. All zero on a single-node engine.
-func (e *Engine) HandoffStats() (sent, recv, dup uint64, pending int) {
+func (e *Engine) HandoffStats() (sent, recv, dup, pending uint64) {
 	if e.peers != nil {
 		sent = e.peers.Sent()
 	}
-	return sent, e.handoffsRecv.Load(), e.handoffsDup.Load(), e.transport.Pending()
+	return sent, e.handoffsRecv.Load(), e.handoffsDup.Load(), uint64(e.transport.Pending())
 }
 
 // Peers exposes the cluster connection set for the server layer

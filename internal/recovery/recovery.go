@@ -20,9 +20,10 @@
 //     to some correct execution, though not necessarily the one that
 //     was interrupted.
 //
-// The command log is sharded one file per partition (wal.LogSet); both
-// drivers handle a torn tail independently per log, and both accept a
-// legacy unsharded log at the base path.
+// The command log is a directory holding one file per partition
+// (wal.LogSet); both drivers handle a torn tail independently per log.
+// The only checkpoint is the one a committed snapshot manifest names;
+// without one, the whole log replays.
 package recovery
 
 import (
@@ -93,8 +94,8 @@ type Engine interface {
 }
 
 // Recover runs the selected scheme against the engine, reading the
-// per-partition command logs under logPath (a directory or file
-// prefix; see wal.SetOptions). The engine must be quiesced (no client
+// per-partition command logs in the logPath directory (see
+// wal.SetOptions). The engine must be quiesced (no client
 // traffic) for the duration. It returns the highest log sequence
 // number observed across every record read — including records the
 // replay filtered out — so the caller can re-arm its commit sequence

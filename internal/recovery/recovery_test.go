@@ -43,8 +43,7 @@ func (f *fakeEngine) FirePendingStreamTriggers() error {
 
 func writeLog(t *testing.T, dir string, recs []*wal.Record) string {
 	t.Helper()
-	path := filepath.Join(dir, "cmd.log")
-	l, err := wal.Open(wal.Options{Path: path, Policy: wal.SyncEachCommit})
+	l, err := wal.Open(wal.Options{Path: wal.PartitionPath(dir, 0), Policy: wal.SyncEachCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func writeLog(t *testing.T, dir string, recs []*wal.Record) string {
 		}
 	}
 	l.Close()
-	return path
+	return dir
 }
 
 func TestShouldLog(t *testing.T) {

@@ -189,7 +189,7 @@ func RoutedApp() *App {
 	}
 }
 
-// ArchiveApp exercises the storage-manager seam end to end: every
+// ArchiveApp exercises archive tables end to end: every
 // ingested batch lands one row in a disk-backed archive history table
 // (CREATE ARCHIVE TABLE), so a long feed grows state far past the
 // buffer-pool budget while the hot path stays bounded. The id primary

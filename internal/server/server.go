@@ -338,22 +338,9 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 			out <- frame
 		}()
 	case wire.OpStats:
-		st := s.eng.Stats()
 		out <- wire.AppendResponse(nil, &wire.Response{
 			ID: req.ID, Op: req.Op, Status: wire.StatusOK,
-			Stats: wire.Stats{
-				Executed:        st.Executed,
-				Aborted:         st.Aborted,
-				LogAppends:      st.LogAppends,
-				LogSyncs:        st.LogSyncs,
-				ClientTrips:     st.ClientTrips,
-				EECrossings:     st.EECrossings,
-				Overloaded:      st.Overloaded,
-				HandoffsSent:    st.HandoffsSent,
-				HandoffsRecv:    st.HandoffsRecv,
-				HandoffsDup:     st.HandoffsDup,
-				HandoffsPending: uint64(st.HandoffsPending),
-			},
+			Stats: s.eng.Stats(),
 		})
 	case wire.OpDrain:
 		inflight.Add(1)

@@ -1,10 +1,10 @@
 package storage
 
-// This file is the disk-backed half of the storage-manager seam: an
-// archive table keeps its row heap in a slotted page file behind a
-// shared buffer pool instead of a Go map. Everything above the heap —
-// version chains, mutation brackets, indexes, arrival order,
-// tombstones — is identical between the two implementations; Table
+// This file is the disk-backed row heap of a Table: an archive table
+// keeps its rows in a slotted page file behind a shared buffer pool
+// instead of a Go map. Everything above the heap — version chains,
+// mutation brackets, indexes, arrival order, tombstones — is identical
+// between the memory and archive heaps; Table
 // routes each heap access through liveRow/putRow/removeRow (table.go),
 // which branch on t.arch.
 //

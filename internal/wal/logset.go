@@ -5,7 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -20,7 +20,6 @@ import (
 // from one lock-free global commit sequence, so the per-partition
 // files merge back into total commit order for strong recovery.
 type LogSet struct {
-	base    string
 	loggers []*Logger
 	// byPid maps a global partition ID to its logger; on a cluster
 	// node the set covers only the node's own partitions (the sparse
@@ -31,11 +30,8 @@ type LogSet struct {
 
 // SetOptions configures a LogSet.
 type SetOptions struct {
-	// Path is the log location: an existing directory (partition logs
-	// become <dir>/cmd-p<N>.log) or a file-name prefix (partition
-	// logs become <path>.p<N>). A legacy unsharded log at exactly
-	// <path> is still read by the set readers below, so pre-shard
-	// logs remain replayable.
+	// Path is the log directory, created if missing; partition N
+	// logs to <dir>/cmd-p<N>.log.
 	Path string
 	// Partitions is the number of per-partition logs.
 	Partitions int
@@ -56,19 +52,18 @@ type SetOptions struct {
 	PartitionIDs []int
 }
 
-// PartitionPath maps (base, partition) to the partition's log file:
-// under a directory base the file is <base>/cmd-p<N>.log, under a
-// prefix base it is <base>.p<N>.
-func PartitionPath(base string, pid int) string {
-	if st, err := os.Stat(base); err == nil && st.IsDir() {
-		return filepath.Join(base, fmt.Sprintf("cmd-p%d.log", pid))
-	}
-	return fmt.Sprintf("%s.p%d", base, pid)
+// PartitionPath names a partition's log file in the log directory:
+// <dir>/cmd-p<N>.log.
+func PartitionPath(dir string, pid int) string {
+	return filepath.Join(dir, fmt.Sprintf("cmd-p%d.log", pid))
 }
 
-// OpenSet opens one Logger per partition under the base path, all
+// OpenSet opens one Logger per partition in the log directory, all
 // drawing LSNs from the set's shared commit sequence.
 func OpenSet(opts SetOptions) (*LogSet, error) {
+	if err := os.MkdirAll(opts.Path, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: log dir: %w", err)
+	}
 	pids := opts.PartitionIDs
 	if pids == nil {
 		if opts.Partitions <= 0 {
@@ -79,7 +74,7 @@ func OpenSet(opts SetOptions) (*LogSet, error) {
 			pids[i] = i
 		}
 	}
-	s := &LogSet{base: opts.Path, byPid: make(map[int]*Logger, len(pids))}
+	s := &LogSet{byPid: make(map[int]*Logger, len(pids))}
 	for _, pid := range pids {
 		l, err := Open(Options{
 			Path:         PartitionPath(opts.Path, pid),
@@ -156,28 +151,6 @@ func (s *LogSet) CompactBefore(keepAfter uint64) error {
 			return err
 		}
 	}
-	return compactLegacy(s.base, keepAfter)
-}
-
-// compactLegacy prunes a pre-shard unsharded log sitting at exactly
-// the base path: the set never writes to it, but its records are
-// re-read (and filtered) by every recovery until a checkpoint renders
-// them obsolete. Fully-obsolete legacy logs are deleted outright.
-func compactLegacy(base string, keepAfter uint64) error {
-	st, err := os.Stat(base)
-	if err != nil || !st.Mode().IsRegular() {
-		return nil // no legacy log (or base is the shard directory)
-	}
-	kept, err := compactFile(base, keepAfter, false)
-	if err != nil {
-		return err
-	}
-	if kept == 0 {
-		// Fully obsolete: the stamp covers every legacy record.
-		if err := os.Remove(base); err != nil {
-			return fmt.Errorf("wal: compact legacy: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -192,117 +165,52 @@ func (s *LogSet) Close() error {
 	return first
 }
 
-// shardSeg splits a shard file suffix into its partition id, accepting
-// both a plain shard ("3") and a rotation segment of one ("3.s2" —
-// segment files count as evidence the shard exists even when its base
-// file aged out during compaction). ok is false for unrelated names.
-func shardSeg(rest string) (pid int, ok bool) {
-	if pid, err := strconv.Atoi(rest); err == nil {
-		return pid, true
-	}
-	i := strings.Index(rest, ".s")
-	if i <= 0 {
-		return 0, false
-	}
-	pid, err := strconv.Atoi(rest[:i])
+// SetPaths lists the per-partition log base paths in the log
+// directory in partition order. A partition rotated into segments is
+// recognized by its cmd-p<N>.log.s<k> files and listed once, by its
+// base path — OpenReader chains the segments back into one stream,
+// even when the base file itself aged out. A missing directory holds
+// no logs.
+func SetPaths(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, false
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("wal: list logs: %w", err)
 	}
-	k, err := strconv.Atoi(rest[i+2:])
-	if err != nil || k <= 0 {
-		return 0, false
-	}
-	return pid, true
-}
-
-// SetPaths lists the per-shard log base paths under base in partition
-// order: a legacy unsharded log at exactly base (if present) first,
-// then every cmd-p<N>.log / <base>.p<N> shard. A shard rotated into
-// segments is recognized by its <shard>.s<k> files and listed once, by
-// its base path — OpenReader chains the segments back into one stream,
-// even when the base file itself aged out. Shards that were never
-// created are simply absent. Names are matched literally (directory
-// listing plus prefix check), so a base containing glob metacharacters
-// lists its shards correctly.
-func SetPaths(base string) ([]string, error) {
-	var paths []string
-	pids := make(map[int]bool)
-	shardBase := func(pid int) string { return fmt.Sprintf("%s.p%d", base, pid) }
-	if st, err := os.Stat(base); err == nil && st.IsDir() {
-		ents, err := os.ReadDir(base)
+	var pids []int
+	for _, ent := range ents {
+		// A log file is cmd-p<N>.log or its segment cmd-p<N>.log.s<k>.
+		rest, ok := strings.CutPrefix(ent.Name(), "cmd-p")
+		if !ok {
+			continue
+		}
+		num, seg, ok := strings.Cut(rest, ".log")
+		if !ok {
+			continue
+		}
+		pid, err := strconv.Atoi(num)
 		if err != nil {
-			return nil, fmt.Errorf("wal: list logs: %w", err)
+			continue
 		}
-		for _, ent := range ents {
-			rest, ok := strings.CutPrefix(ent.Name(), "cmd-p")
-			if !ok {
+		if seg != "" {
+			k, ok := strings.CutPrefix(seg, ".s")
+			if n, err := strconv.Atoi(k); !ok || err != nil || n <= 0 {
 				continue
 			}
-			// rest is "<pid>.log" or "<pid>.log.s<k>".
-			if plain, ok := strings.CutSuffix(rest, ".log"); ok {
-				if pid, err := strconv.Atoi(plain); err == nil {
-					pids[pid] = true
-				}
-				continue
-			}
-			i := strings.Index(rest, ".log.s")
-			if i <= 0 {
-				continue
-			}
-			pid, err1 := strconv.Atoi(rest[:i])
-			k, err2 := strconv.Atoi(rest[i+len(".log.s"):])
-			if err1 == nil && err2 == nil && k > 0 {
-				pids[pid] = true
-			}
 		}
-		shardBase = func(pid int) string {
-			return filepath.Join(base, fmt.Sprintf("cmd-p%d.log", pid))
-		}
-	} else {
-		legacy := err == nil && st.Mode().IsRegular()
-		ents, err := os.ReadDir(filepath.Dir(base))
-		if err != nil {
-			if os.IsNotExist(err) {
-				if legacy {
-					paths = append(paths, base)
-				}
-				return paths, nil
-			}
-			return nil, fmt.Errorf("wal: list logs: %w", err)
-		}
-		name := filepath.Base(base)
-		for _, ent := range ents {
-			// A rotation segment of the legacy unsharded log.
-			if rest, ok := strings.CutPrefix(ent.Name(), name+".s"); ok {
-				if k, err := strconv.Atoi(rest); err == nil && k > 0 {
-					legacy = true
-				}
-				continue
-			}
-			rest, ok := strings.CutPrefix(ent.Name(), name+".p")
-			if !ok {
-				continue
-			}
-			if pid, ok := shardSeg(rest); ok {
-				pids[pid] = true
-			}
-		}
-		if legacy {
-			paths = append(paths, base)
-		}
+		pids = append(pids, pid)
 	}
-	order := make([]int, 0, len(pids))
-	for pid := range pids {
-		order = append(order, pid)
-	}
-	sort.Ints(order)
-	for _, pid := range order {
-		paths = append(paths, shardBase(pid))
+	slices.Sort(pids)
+	paths := make([]string, 0, len(pids))
+	for _, pid := range slices.Compact(pids) {
+		paths = append(paths, PartitionPath(dir, pid))
 	}
 	return paths, nil
 }
 
-// SetReader k-way merge-streams every log under base by global
+// SetReader k-way merge-streams every log in a directory by global
 // sequence number, reconstructing total commit order across
 // partitions while holding only one record per shard in memory.
 // Strong recovery replays this merged stream.
@@ -312,10 +220,10 @@ type SetReader struct {
 	err     error
 }
 
-// OpenSetReader opens every log under base for a merged streaming
-// read. Empty and absent logs are skipped.
-func OpenSetReader(base string) (*SetReader, error) {
-	paths, err := SetPaths(base)
+// OpenSetReader opens every log in the log directory for a merged
+// streaming read. Empty and absent logs are skipped.
+func OpenSetReader(dir string) (*SetReader, error) {
+	paths, err := SetPaths(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -392,11 +300,11 @@ func (s *SetReader) Close() error {
 	return nil
 }
 
-// ReadSetMerged reads every log under base into memory in merged
-// global-sequence order; replay paths should prefer streaming with
-// OpenSetReader.
-func ReadSetMerged(base string) ([]*Record, error) {
-	r, err := OpenSetReader(base)
+// ReadSetMerged reads every log in the log directory into memory in
+// merged global-sequence order; replay paths should prefer streaming
+// with OpenSetReader.
+func ReadSetMerged(dir string) ([]*Record, error) {
+	r, err := OpenSetReader(dir)
 	if err != nil {
 		return nil, err
 	}

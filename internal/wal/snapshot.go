@@ -136,8 +136,7 @@ func WriteSnapshotManifest(dir string, stamp uint64) error {
 }
 
 // ReadSnapshotManifest returns the committed generation stamp;
-// ok=false means no manifest exists (pre-manifest checkpoints, loaded
-// from the legacy plain snapshot files).
+// ok=false means no manifest exists, so there is no checkpoint.
 func ReadSnapshotManifest(dir string) (stamp uint64, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {

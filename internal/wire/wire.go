@@ -73,6 +73,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"reflect"
 
 	"sstore/internal/types"
 )
@@ -151,9 +152,12 @@ const (
 // as a protocol error rather than an allocation request.
 const MaxFrame = 64 << 20
 
-// Stats mirrors the engine's counter snapshot across the wire. Fields
-// are encoded as a counted list of uvarints, so decoders tolerate
-// servers with more (or fewer) counters.
+// Stats is the engine's counter snapshot (pe.Stats is this type),
+// carried as is by an OpStats response. Every field is a uint64
+// counter, encoded in declaration order as a counted list of uvarints,
+// so a decoder tolerates a server with more (or fewer) counters: add a
+// counter by appending a field. A field tagged `stats:"max"` is a
+// maximum rather than a running count, and Add keeps the larger value.
 type Stats struct {
 	Executed    uint64
 	Aborted     uint64
@@ -161,15 +165,62 @@ type Stats struct {
 	LogSyncs    uint64
 	ClientTrips uint64
 	EECrossings uint64
-	Overloaded  uint64
-	// Cross-node hand-off counters (zero on single-node deployments).
-	// HandoffsPending counts sent batches not yet acknowledged by their
-	// receiving node — the cluster-drain signal: a cluster is quiescent
-	// when every node reports Drain complete and zero pending.
+	// Overloaded counts border submissions (Calls and ingested
+	// batches) rejected by the MaxQueueDepth backpressure bound.
+	Overloaded uint64
+	// HandoffsSent/HandoffsRecv/HandoffsDup count cross-node batch
+	// hand-offs: sent to peers, admitted from peers, and re-deliveries
+	// suppressed by this node's exactly-once ledger. HandoffsPending is
+	// the sends not yet acknowledged by their receiving node — the
+	// cluster-drain signal: a cluster is quiescent only when every node
+	// drains AND reports zero pending. All zero on a single-node engine.
 	HandoffsSent    uint64
 	HandoffsRecv    uint64
 	HandoffsDup     uint64
 	HandoffsPending uint64
+	// TriggerErrors counts reply-less TE failures (PE-triggered
+	// interior TEs and trigger-dispatch misses) cumulatively, across
+	// all partitions; unlike Engine.TriggerErr it is never cleared.
+	TriggerErrors uint64
+	// TasksParallel and TasksSerial split dispatcher-executed tasks
+	// by path under Options.Workers: wave members whose bodies ran
+	// concurrently vs serial fallbacks (conflicting, undeclared,
+	// trigger-producing, nested, control, or lone tasks). Both stay
+	// zero on a classic serial engine.
+	TasksParallel uint64
+	TasksSerial   uint64
+	// PeakConcurrent is the maximum number of TE bodies any partition
+	// had in flight at once (1 when never parallel).
+	PeakConcurrent uint64 `stats:"max"`
+	// AutoCheckpoints counts checkpoints taken by the
+	// CheckpointEveryBytes policy.
+	AutoCheckpoints uint64
+}
+
+// counters returns a pointer to every field of s in declaration (wire)
+// order.
+func (s *Stats) counters() []*uint64 {
+	v := reflect.ValueOf(s).Elem()
+	out := make([]*uint64, v.NumField())
+	for i := range out {
+		out[i] = v.Field(i).Addr().Interface().(*uint64)
+	}
+	return out
+}
+
+// Add folds o into s, as when combining the nodes of a cluster: each
+// counter sums, except that a `stats:"max"` field keeps the larger
+// value.
+func (s *Stats) Add(o Stats) {
+	typ := reflect.TypeOf(o)
+	src := o.counters()
+	for i, dst := range s.counters() {
+		if typ.Field(i).Tag.Get("stats") == "max" {
+			*dst = max(*dst, *src[i])
+		} else {
+			*dst += *src[i]
+		}
+	}
 }
 
 // Request is one decoded client request.
@@ -319,17 +370,10 @@ func AppendResponse(buf []byte, r *Response) []byte {
 			}
 			buf = append(buf, dup)
 		case OpStats:
-			fields := []uint64{
-				r.Stats.Executed, r.Stats.Aborted,
-				r.Stats.LogAppends, r.Stats.LogSyncs,
-				r.Stats.ClientTrips, r.Stats.EECrossings,
-				r.Stats.Overloaded,
-				r.Stats.HandoffsSent, r.Stats.HandoffsRecv,
-				r.Stats.HandoffsDup, r.Stats.HandoffsPending,
-			}
+			fields := r.Stats.counters()
 			buf = binary.AppendUvarint(buf, uint64(len(fields)))
 			for _, f := range fields {
-				buf = binary.AppendUvarint(buf, f)
+				buf = binary.AppendUvarint(buf, *f)
 			}
 		}
 	}
@@ -499,14 +543,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 			r.Duplicate = d.byte()&1 != 0
 		case OpStats:
 			n := d.uvarint()
-			fields := []*uint64{
-				&r.Stats.Executed, &r.Stats.Aborted,
-				&r.Stats.LogAppends, &r.Stats.LogSyncs,
-				&r.Stats.ClientTrips, &r.Stats.EECrossings,
-				&r.Stats.Overloaded,
-				&r.Stats.HandoffsSent, &r.Stats.HandoffsRecv,
-				&r.Stats.HandoffsDup, &r.Stats.HandoffsPending,
-			}
+			fields := r.Stats.counters()
 			for i := uint64(0); i < n && d.err == nil; i++ {
 				v := d.uvarint()
 				if i < uint64(len(fields)) {
