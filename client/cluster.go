@@ -258,8 +258,7 @@ func (cc *ClusterClient) NodeStats() (map[int]Stats, error) {
 }
 
 // Stats combines the counters across all nodes into one cluster-wide
-// snapshot (see Stats.Add): counts sum, PeakConcurrent is the largest
-// any node reports.
+// snapshot: every counter sums (see Stats.Add).
 func (cc *ClusterClient) Stats() (Stats, error) {
 	per, err := cc.NodeStats()
 	if err != nil {

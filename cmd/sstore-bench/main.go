@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	sstore-bench -exp fig5|fig6|fig7|fig8|fig9a|fig9b|fig10|fig11|ablation|scale|net|window|read|skew|alloc|cluster|spill|all [-quick] [-json]
+//	sstore-bench -exp fig5|fig6|fig7|fig8|fig9a|fig9b|fig10|fig11|ablation|scale|net|window|read|alloc|cluster|spill|all [-quick] [-json]
 //	sstore-bench -client host:port [-conns N] [-batches N] [-window N] [-sensor-base N]
 //
 // With -json, each experiment additionally writes BENCH_<exp>.json in
@@ -51,7 +51,6 @@ var figures = []struct {
 	{"net", "Client/server throughput vs connections over a real loopback socket", experiments.NetBench},
 	{"window", "Incremental windows: insert and trigger-TE throughput vs window size (slide 1)", experiments.Window},
 	{"read", "Snapshot read path: concurrent readers vs sustained ingest (reads off the partition loop)", experiments.Read},
-	{"skew", "Skewed load: intra-partition parallelism on the hot partition (calls/sec, latency)", experiments.Skew},
 	{"alloc", "Zero-allocation hot path: allocs/op on codec, framing, and WAL append; Mallocs/batch end to end", experiments.Alloc},
 	{"cluster", "Cluster scale-out: Linear Road city scale across 2-4 server processes vs one 4-partition process", experiments.Cluster},
 	{"spill", "Archive tables: history appends past the buffer-pool budget vs the in-memory heap (rows/sec)", experiments.Spill},
@@ -84,7 +83,7 @@ func writeReport(name, title string, quick bool, table *benchutil.Table, elapsed
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig5..fig11, ablation, scale, net, window, read, skew, alloc, cluster, spill, or all")
+	exp := flag.String("exp", "all", "experiment to run: fig5..fig11, ablation, scale, net, window, read, alloc, cluster, spill, or all")
 	quick := flag.Bool("quick", false, "shrink sweeps and windows for a fast pass")
 	jsonOut := flag.Bool("json", false, "also write BENCH_<exp>.json per experiment")
 	clientAddr := flag.String("client", "", "drive a running sstore-server at this address instead of running experiments")
@@ -134,7 +133,7 @@ func main() {
 		}
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "sstore-bench: unknown experiment %q (want fig5..fig11, ablation, scale, net, window, read, skew, alloc, cluster, spill, or all)\n", *exp)
+		fmt.Fprintf(os.Stderr, "sstore-bench: unknown experiment %q (want fig5..fig11, ablation, scale, net, window, read, alloc, cluster, spill, or all)\n", *exp)
 		os.Exit(2)
 	}
 }

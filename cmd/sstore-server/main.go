@@ -36,7 +36,6 @@ import (
 	"sstore/internal/pe"
 	"sstore/internal/recovery"
 	"sstore/internal/server"
-	"sstore/internal/wal"
 )
 
 func main() {
@@ -48,7 +47,6 @@ func main() {
 	recoveryMode := flag.String("recovery", "none", "recovery mode: none, strong, or weak")
 	logPath := flag.String("log", "", "command-log directory, created if missing (required for -recovery strong|weak)")
 	snapshots := flag.String("snapshots", "", "checkpoint snapshot directory")
-	group := flag.Bool("group-commit", false, "use group commit (SyncGroup) instead of per-commit fsync")
 	clusterSpec := flag.String("cluster", "", "cluster map 'id@host:port=p0,p1;...' (all nodes get the same map)")
 	nodeID := flag.Int("node", 0, "this node's ID in the -cluster map")
 	ckptEvery := flag.Int64("checkpoint-every-bytes", 0, "take a checkpoint (and compact the log) after this many logged bytes (0 = manual)")
@@ -63,13 +61,13 @@ func main() {
 		return
 	}
 
-	if err := run(*addr, *app, *partitions, *maxQueue, *recoveryMode, *logPath, *snapshots, *group, *clusterSpec, *nodeID, *ckptEvery, *archiveDir, *archiveBudget); err != nil {
+	if err := run(*addr, *app, *partitions, *maxQueue, *recoveryMode, *logPath, *snapshots, *clusterSpec, *nodeID, *ckptEvery, *archiveDir, *archiveBudget); err != nil {
 		fmt.Fprintln(os.Stderr, "sstore-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, appName string, partitions, maxQueue int, recoveryMode, logPath, snapshots string, group bool, clusterSpec string, nodeID int, ckptEvery int64, archiveDir string, archiveBudget int64) error {
+func run(addr, appName string, partitions, maxQueue int, recoveryMode, logPath, snapshots, clusterSpec string, nodeID int, ckptEvery int64, archiveDir string, archiveBudget int64) error {
 	a, err := server.LookupApp(appName)
 	if err != nil {
 		return err
@@ -104,9 +102,6 @@ func run(addr, appName string, partitions, maxQueue int, recoveryMode, logPath, 
 			return err
 		}
 		opts.Cluster = cfg
-	}
-	if group {
-		opts.LogPolicy = wal.SyncGroup
 	}
 	eng, err := pe.NewEngine(opts)
 	if err != nil {

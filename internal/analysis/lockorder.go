@@ -21,14 +21,12 @@ type LockOrderConfig struct {
 }
 
 // EngineLockOrder is the repo's documented acquisition order
-// (internal/pe/readview.go): ddlMu → readMu → Executor.mu → Views.mu →
-// Table.latch. Executor.mu is the executor's plan-cache lock, taken by
-// worker goroutines preparing statements during a parallel wave; it is
-// a leaf (its critical sections are map operations only), ranked under
-// ddlMu because runtime DDL holds ddlMu while invalidating the cache.
-// The table latch is the storage.Views read latch held across one
-// statement's scan; taking anything under it other than the buffer
-// pool's mutex can deadlock against the copy-on-write detach barrier.
+// (internal/pe/readview.go): ddlMu → readMu → Views.mu → Table.latch.
+// Rank 3 is unused: the executor's plan cache is confined to its
+// partition goroutine and takes no lock. The table latch is the
+// storage.Views read latch held across one statement's scan; taking
+// anything under it other than the buffer pool's mutex can deadlock
+// against the copy-on-write detach barrier.
 // It stopped being a leaf when archive tables arrived: their row reads
 // and writes pin pages, so bufferpool.Pool.mu is acquired under the
 // latch. Pool.mu is the new leaf — its critical sections touch only
@@ -45,15 +43,14 @@ var EngineLockOrder = LockOrderConfig{
 	Ranks: map[string]int{
 		"sstore/internal/pe.partition.ddlMu":  1,
 		"sstore/internal/pe.partition.readMu": 2,
-		"sstore/internal/ee.Executor.mu":      3,
 		"sstore/internal/storage.Views.mu":    4,
 		"sstore/internal/storage.Table.latch": 5,
 		"sstore/internal/cluster.Peers.mu":    6,
 		"sstore/internal/cluster.peer.mu":     7,
 		"sstore/internal/bufferpool.Pool.mu":  8,
 	},
-	Leaf:     map[int]bool{3: true, 7: true, 8: true},
-	OrderDoc: "ddlMu → readMu → Executor.mu → Views.mu → Table.latch → Peers.mu → peer.mu → Pool.mu",
+	Leaf:     map[int]bool{7: true, 8: true},
+	OrderDoc: "ddlMu → readMu → Views.mu → Table.latch → Peers.mu → peer.mu → Pool.mu",
 }
 
 // LockOrder enforces EngineLockOrder over the module.

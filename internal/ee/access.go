@@ -7,14 +7,13 @@ import (
 
 // AccessSet is a table-granularity read/write footprint: the tables a
 // statement (or a stored procedure) may read and may write. Names are
-// lower-case, sorted, and deduplicated, so set operations are merge
-// scans over sorted slices — allocation-free on the dispatcher's
-// conflict-check fast path.
+// lower-case, sorted, and deduplicated, so the per-statement coverage
+// check is an allocation-free binary search.
 //
 // Window tables always appear in Writes, even for pure SELECTs: a
 // maintained-aggregate read lazily rescans a dirty MIN/MAX
-// accumulator, mutating the table, so two "readers" of one window are
-// not safe to run concurrently.
+// accumulator, mutating the table, so a procedure that reads a window
+// must declare it as written.
 type AccessSet struct {
 	Reads  []string
 	Writes []string
@@ -46,25 +45,6 @@ func normalizeNames(names []string) []string {
 	return out[:w]
 }
 
-// overlapSorted reports whether two sorted string slices share an
-// element (merge scan).
-//
-//sstore:nomalloc
-func overlapSorted(a, b []string) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
-}
-
 // containsSorted reports whether a sorted string slice contains x
 // (binary search).
 //
@@ -80,17 +60,6 @@ func containsSorted(set []string, x string) bool {
 		}
 	}
 	return lo < len(set) && set[lo] == x
-}
-
-// ConflictsWith reports whether two access sets conflict: write-write
-// or read-write overlap on any table. Non-conflicting sets commute, so
-// the dispatcher may run their transactions concurrently.
-//
-//sstore:nomalloc
-func (a *AccessSet) ConflictsWith(b *AccessSet) bool {
-	return overlapSorted(a.Writes, b.Writes) ||
-		overlapSorted(a.Writes, b.Reads) ||
-		overlapSorted(a.Reads, b.Writes)
 }
 
 // Covers reports whether this (declared) set covers every access of b:
@@ -115,7 +84,7 @@ func (a *AccessSet) Covers(b *AccessSet) bool {
 // set; stmt == nil means the planner could not bound the statement's
 // accesses (DDL), which a declared procedure may not run. A violation
 // aborts the transaction before the statement touches any table, so a
-// wrong declaration fails loudly instead of racing.
+// wrong declaration fails loudly.
 func (a *AccessSet) Check(stmt *AccessSet) error {
 	if stmt == nil {
 		return fmt.Errorf("ee: statement access unknown; not allowed in a procedure with a declared access set")

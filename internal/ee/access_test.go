@@ -71,22 +71,6 @@ func TestAccessSetOps(t *testing.T) {
 	if got := ab.Reads; !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("normalize reads = %v", got)
 	}
-	cd := NewAccessSet(nil, []string{"d"})
-	if ab.ConflictsWith(cd) || cd.ConflictsWith(ab) {
-		t.Fatal("disjoint sets conflict")
-	}
-	ww := NewAccessSet(nil, []string{"c"})
-	if !ab.ConflictsWith(ww) {
-		t.Fatal("write-write overlap not a conflict")
-	}
-	rw := NewAccessSet([]string{"c"}, nil)
-	if !ab.ConflictsWith(rw) || !rw.ConflictsWith(ab) {
-		t.Fatal("read-write overlap not a conflict")
-	}
-	rr := NewAccessSet([]string{"a", "b"}, nil)
-	if ab.ConflictsWith(rr) {
-		t.Fatal("read-read overlap is not a conflict")
-	}
 
 	decl := NewAccessSet([]string{"a"}, []string{"b"})
 	if !decl.Covers(NewAccessSet([]string{"a", "b"}, []string{"b"})) {
@@ -143,25 +127,20 @@ func TestExecCtxAllowedEnforced(t *testing.T) {
 // The //sstore:allocgate markers pair with //sstore:nomalloc
 // annotations in access.go; the allocgate analyzer enforces parity.
 
-//sstore:allocgate overlapSorted
 //sstore:allocgate containsSorted
-//sstore:allocgate AccessSet.ConflictsWith
 //sstore:allocgate AccessSet.Covers
 func TestAccessSetOpsAllocFree(t *testing.T) {
 	a := NewAccessSet([]string{"alpha", "beta"}, []string{"gamma"})
 	b := NewAccessSet([]string{"delta"}, []string{"beta"})
 	c := NewAccessSet([]string{"alpha"}, nil)
 	if n := testing.AllocsPerRun(1000, func() {
-		if !a.ConflictsWith(b) || a.ConflictsWith(c) {
-			t.Fatal("conflict answers changed")
-		}
 		if !a.Covers(c) || a.Covers(b) {
 			t.Fatal("covers answers changed")
 		}
-		if !overlapSorted(a.Reads, c.Reads) || !containsSorted(a.Reads, "beta") {
+		if !containsSorted(a.Reads, "beta") {
 			t.Fatal("set op answers changed")
 		}
 	}); n != 0 {
-		t.Fatalf("access-set ops allocate %v/op; the dispatcher runs them per queued task", n)
+		t.Fatalf("access-set ops allocate %v/op; the executor checks every statement of a declared procedure", n)
 	}
 }

@@ -2,7 +2,6 @@ package ee
 
 import (
 	"fmt"
-	"sync"
 
 	"sstore/internal/index"
 	"sstore/internal/sql"
@@ -59,8 +58,7 @@ type ExecCtx struct {
 	// declared access set: every statement's compiled access must be
 	// covered by it or the statement fails before touching any table.
 	// The partition engine sets it for procedures with declared
-	// accesses (in both serial and parallel execution, so behavior
-	// does not depend on the worker count); nil disables enforcement.
+	// accesses; nil disables enforcement.
 	Allowed *AccessSet
 	// Appends accumulates stream appends for PE-trigger dispatch.
 	Appends []StreamAppend
@@ -92,18 +90,12 @@ type Trigger struct {
 	Stmts []string
 }
 
-// Executor runs SQL statements against one partition's catalog.
-// Statement execution runs on the partition's goroutine or, for
-// non-conflicting transactions, on its worker pool; the plan cache is
-// the one piece of state those goroutines share, guarded by mu.
-// Triggers and peConsumed are registered at setup time and read-only
-// afterwards.
+// Executor runs SQL statements against one partition's catalog. It is
+// confined to the partition's goroutine, so the plan cache needs no
+// lock. Triggers and peConsumed are registered at setup time and
+// read-only afterwards.
 type Executor struct {
-	cat *storage.Catalog
-	// mu guards plans: worker goroutines executing a parallel wave
-	// prepare statements concurrently. Compilation happens outside
-	// the lock; the critical sections are map operations only.
-	mu         sync.RWMutex
+	cat        *storage.Catalog
 	plans      map[string]*prepared
 	triggers   map[string][]*Trigger
 	peConsumed map[string]bool // streams consumed by PE triggers: no EE-level GC
@@ -153,9 +145,7 @@ func (e *Executor) SetPEConsumed(table string) {
 
 // InvalidatePlans drops the plan cache; call after DDL.
 func (e *Executor) InvalidatePlans() {
-	e.mu.Lock()
 	e.plans = make(map[string]*prepared)
-	e.mu.Unlock()
 }
 
 func lowerName(s string) string {
@@ -204,31 +194,20 @@ type deletePlan struct {
 	filter compiledExpr
 }
 
-// Prepare parses and plans a statement, caching by text. Safe for
-// concurrent use: on a cache miss the statement compiles outside the
-// lock and the first finished compilation wins.
+// Prepare parses and plans a statement, caching by text.
 func (e *Executor) Prepare(text string) (*prepared, error) {
-	e.mu.RLock()
-	p, ok := e.plans[text]
-	e.mu.RUnlock()
-	if ok {
+	if p, ok := e.plans[text]; ok {
 		return p, nil
 	}
 	stmt, err := sql.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	p, err = e.compile(stmt)
+	p, err := e.compile(stmt)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	if prev, ok := e.plans[text]; ok {
-		e.mu.Unlock()
-		return prev, nil
-	}
 	e.plans[text] = p
-	e.mu.Unlock()
 	return p, nil
 }
 
@@ -436,7 +415,7 @@ func (e *Executor) run(p *prepared, params []types.Value, ctx *ExecCtx) (*Result
 	// EE trigger's, which recurses through Execute with the same ctx —
 	// must stay inside the procedure's declared footprint. The check
 	// runs before the statement touches any table, so a wrong
-	// declaration aborts the TE instead of racing a concurrent one.
+	// declaration aborts the TE before it writes anything.
 	if ctx.Allowed != nil {
 		if err := ctx.Allowed.Check(p.access); err != nil {
 			return nil, err

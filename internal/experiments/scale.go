@@ -44,8 +44,8 @@ const scaleWorkQueries = 8
 // rides along as the realistic workload.
 //
 // The routed-pipeline-logged variant reruns the synthetic pipeline
-// with strong command logging under group commit: every TE's commit
-// blocks on its partition's log. With the sharded log set each
+// with strong command logging, fsynced on every commit: every TE's
+// commit blocks on its partition's log. With the sharded log set each
 // partition flushes its own file, so the logged workflow still scales
 // with partitions; a shared log would re-serialize on one mutex and
 // one fsync queue exactly the work the routing spread out.
@@ -179,7 +179,7 @@ func driveScaleRouted(opts Options, eng *pe.Engine) (float64, error) {
 }
 
 // scaleRoutedLoggedProbe is the routed pipeline with durability on:
-// strong recovery (border and interior TEs logged) under group
+// strong recovery (border and interior TEs logged), one fsync per
 // commit, the log sharded one file per partition in a scratch
 // directory. Border batches route by key too, so commits — and their
 // log appends — land on every partition's own log rather than
@@ -199,7 +199,7 @@ func scaleRoutedLoggedProbe(opts Options, parts int) (float64, error) {
 	eng, err := scaleRoutedEngine(parts, pe.Options{
 		Recovery:    recovery.ModeStrong,
 		LogPath:     scratch,
-		LogPolicy:   wal.SyncGroup,
+		LogPolicy:   wal.SyncEachCommit,
 		SnapshotDir: scratch,
 		PartitionBy: routeBoth,
 	})

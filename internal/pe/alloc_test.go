@@ -1,10 +1,6 @@
 package pe
 
-import (
-	"testing"
-
-	"sstore/internal/ee"
-)
+import "testing"
 
 // The //sstore:allocgate markers below pair with //sstore:nomalloc
 // annotations; the allocgate analyzer fails the build if either side
@@ -62,22 +58,5 @@ func TestTaskPoolSteadyState(t *testing.T) {
 		p.recycleECtx(p.getECtx())
 	}); n != 0 {
 		t.Fatalf("steady-state txn/ctx recycling allocates %v/op", n)
-	}
-}
-
-//sstore:allocgate conflictsAny
-func TestConflictOpsAllocFree(t *testing.T) {
-	accs := []*ee.AccessSet{
-		ee.NewAccessSet([]string{"a"}, []string{"b"}),
-		ee.NewAccessSet(nil, []string{"c"}),
-	}
-	clash := ee.NewAccessSet(nil, []string{"b"})
-	clear := ee.NewAccessSet([]string{"d"}, []string{"e"})
-	if n := testing.AllocsPerRun(1000, func() {
-		if !conflictsAny(accs, clash) || conflictsAny(accs, clear) {
-			t.Fatal("conflict answers changed")
-		}
-	}); n != 0 {
-		t.Fatalf("conflictsAny allocates %v/op; the dispatcher runs it per queued task", n)
 	}
 }

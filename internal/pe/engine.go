@@ -29,19 +29,6 @@ type Options struct {
 	// Partitions is the number of execution sites; one core each
 	// (§3.1). Defaults to 1.
 	Partitions int
-	// Workers, when > 1, enables dependency-aware intra-partition
-	// parallelism: each partition's goroutine becomes a dispatcher
-	// that pops a run of queued tasks and executes the bodies of
-	// mutually non-conflicting TEs (by declared access sets; see
-	// StoredProc.Access) concurrently on a pool of this many workers,
-	// retiring them in admission order. Committed state, command-log
-	// order, replay, and snapshot read views are identical to serial
-	// execution; only the interleaving of TE bodies changes.
-	// Procedures without a declared access set, conflicting TEs,
-	// nested transactions, and TEs that can fire PE triggers fall back
-	// to in-order serial execution. 0 or 1 keeps the classic serial
-	// loop (the default).
-	Workers int
 	// ClientRTT is the simulated client↔engine round-trip latency
 	// applied to Call (and to Ingest acknowledgement when used
 	// synchronously). Zero disables the simulation.
@@ -55,11 +42,10 @@ type Options struct {
 	// required when Recovery is not ModeNone. The log is sharded one
 	// file per partition, <dir>/cmd-p<N>.log. See DESIGN.md §5.
 	LogPath string
-	// LogPolicy selects commit durability (§3.1; Figure 9a runs
-	// without group commit, i.e. SyncEachCommit).
+	// LogPolicy selects commit durability: SyncEachCommit (the
+	// default, as in the paper's Figure 9a) fsyncs inside every
+	// commit's log append; SyncNone never fsyncs.
 	LogPolicy wal.SyncPolicy
-	// GroupWindow is the group-commit window under SyncGroup.
-	GroupWindow time.Duration
 	// LogSegmentBytes rotates each partition's log into sealed
 	// segments of roughly this size, letting checkpoint truncation
 	// age out whole files O(1) instead of rewriting the log. Zero
@@ -318,7 +304,6 @@ func NewEngine(opts Options) (*Engine, error) {
 			Partitions:   len(localPids),
 			PartitionIDs: localPids,
 			Policy:       opts.LogPolicy,
-			GroupWindow:  opts.GroupWindow,
 			SegmentBytes: opts.LogSegmentBytes,
 		})
 		if err != nil {
@@ -333,9 +318,6 @@ func NewEngine(opts Options) (*Engine, error) {
 		p.cat.SetArchiveProvider(func() (*storage.ArchiveSite, error) {
 			return e.archiveSite(p, len(localPids))
 		})
-		if opts.Workers > 1 {
-			p.startWorkers(opts.Workers)
-		}
 		e.parts = append(e.parts, p)
 		e.byPid[pid] = p
 	}
@@ -980,14 +962,17 @@ func (e *Engine) Tables(pid int) ([]TableInfo, error) {
 }
 
 // SPExecutions returns the number of committed TEs of one stored
-// procedure across all partitions. It reads the counters without
-// synchronization; values are exact after Drain and monitoring-grade
-// while traffic runs (the benchmark drivers sample deltas over a
-// window).
+// procedure across all partitions. Each partition's count is read on
+// its own goroutine (a control task queued behind the work already
+// admitted), so the call is safe while traffic runs; values are exact
+// after Drain. A closed engine's partitions report nothing.
 func (e *Engine) SPExecutions(sp string) uint64 {
 	var n uint64
 	for _, p := range e.parts {
-		n += p.execBySP[sp]
+		_ = e.onPartition(p, func(p *partition) error {
+			n += p.execBySP[sp]
+			return nil
+		})
 	}
 	return n
 }
@@ -1025,9 +1010,6 @@ func (e *Engine) Stats() Stats {
 		s.Executed += p.executed.Load()
 		s.Aborted += p.aborted.Load()
 		s.TriggerErrors += p.triggerErrs.Load()
-		s.TasksParallel += p.tasksParallel.Load()
-		s.TasksSerial += p.tasksSerial.Load()
-		s.PeakConcurrent = max(s.PeakConcurrent, uint64(p.peakConcurrent.Load()))
 	}
 	s.Overloaded = e.overloaded.Load()
 	s.HandoffsSent, s.HandoffsRecv, s.HandoffsDup, s.HandoffsPending = e.HandoffStats()

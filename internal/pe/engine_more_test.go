@@ -3,7 +3,6 @@ package pe
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"sstore/internal/recovery"
 	"sstore/internal/stream"
@@ -84,18 +83,17 @@ func TestFanOutStreamGC(t *testing.T) {
 	}
 }
 
-// TestGroupCommitEndToEnd: with SyncGroup over sharded logs, commits
-// land in each partition's own log (parallel flushers, no shared fsync
-// queue) and the merged view reconstructs total commit order with no
-// record lost.
-func TestGroupCommitEndToEnd(t *testing.T) {
+// TestShardedLogEndToEnd: with SyncEachCommit over sharded logs,
+// commits land in each partition's own log (no shared fsync queue),
+// each fsynced once, and the merged view reconstructs total commit
+// order with no record lost.
+func TestShardedLogEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	e := newEngine(t, Options{
 		Partitions:  2,
 		Recovery:    recovery.ModeStrong,
 		LogPath:     dir + "/cmd.log",
-		LogPolicy:   wal.SyncGroup,
-		GroupWindow: time.Millisecond,
+		LogPolicy:   wal.SyncEachCommit,
 		SnapshotDir: dir,
 		RouteCall: func(_ string, params types.Row) int {
 			return int(params[0].Int()) % 2
@@ -126,13 +124,9 @@ func TestGroupCommitEndToEnd(t *testing.T) {
 	if appends != n {
 		t.Errorf("appends = %d, want %d", appends, n)
 	}
-	// Per-partition logs serve one serial commit at a time, so at the
-	// engine level syncs tracks appends under SyncGroup (the win is
-	// parallel, contention-free fsyncs, not within-log batching);
-	// wal's TestGroupCommitReleasesWaiters asserts the batching of
-	// concurrent waiters on a single log.
-	if syncs == 0 || syncs > appends {
-		t.Errorf("syncs = %d for %d appends", syncs, appends)
+	// One fsync per commit: each partition's log fsyncs inside Append.
+	if syncs != appends {
+		t.Errorf("syncs = %d for %d appends, want one per commit", syncs, appends)
 	}
 	// Sharding is real: both partitions' logs hold records.
 	for pid := 0; pid < 2; pid++ {

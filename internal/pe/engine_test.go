@@ -743,3 +743,44 @@ func TestStatsDuringTraffic(t *testing.T) {
 		t.Errorf("executed = %d, want %d", got, 2*batches)
 	}
 }
+
+// TestSPExecutionsDuringTraffic: SPExecutions reads each partition's
+// per-SP counts on that partition's goroutine, so polling it while
+// calls commit is race-free (go test -race) and exact once they have
+// returned.
+func TestSPExecutionsDuringTraffic(t *testing.T) {
+	e := newEngine(t, Options{})
+	if err := e.ExecDDL("CREATE TABLE t (v BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterProc(&StoredProc{Name: "P", Func: func(ctx *ProcCtx) error {
+		_, err := ctx.Query("INSERT INTO t VALUES (?)", ctx.Params()[0])
+		return err
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.SPExecutions("P")
+			}
+		}
+	}()
+	const calls = 2000
+	for i := 0; i < calls; i++ {
+		if _, err := e.Call("P", types.Row{types.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if got := e.SPExecutions("P"); got != calls {
+		t.Errorf("SPExecutions = %d, want %d", got, calls)
+	}
+}

@@ -36,15 +36,9 @@ type partition struct {
 	// would otherwise mutate under its feet.
 	ddlMu sync.RWMutex
 
-	// par, when non-nil, holds the intra-partition worker pool and the
-	// dispatcher's reusable buffers (Options.Workers > 1); nil keeps
-	// the classic serial pop-execute loop.
-	par *parallel
 	// spAccess caches each SP's declared access set (nil entry =
-	// cached "undeclared"); spWave caches wave eligibility. Both are
-	// dispatcher-goroutine only.
+	// cached "undeclared"). Partition-goroutine only.
 	spAccess map[string]*ee.AccessSet
-	spWave   map[string]bool
 
 	nextTxn uint64
 	// executed/aborted count TEs; only this partition's goroutine
@@ -52,7 +46,7 @@ type partition struct {
 	executed atomic.Uint64
 	aborted  atomic.Uint64
 	// txnFree/ectxFree/pcFree recycle partition-confined hot structs
-	// (see pool.go); dispatcher-goroutine only.
+	// (see pool.go); partition-goroutine only.
 	txnFree  []*txn.Txn
 	ectxFree []*ee.ExecCtx
 	pcFree   []*ProcCtx
@@ -64,18 +58,8 @@ type partition struct {
 	// otherwise vanish from the stats.
 	lastTriggerErr error
 	triggerErrs    atomic.Uint64
-	// tasksParallel/tasksSerial split dispatcher-executed tasks by
-	// path: wave members vs serial fallback (conflicting, serial-only,
-	// control, or lone tasks). Zero on a classic serial partition.
-	// peakConcurrent is the maximum number of TE bodies in flight at
-	// once. All three are written by the dispatcher goroutine only but
-	// are atomics because they tick after a task's reply is sent, so a
-	// client reading Stats right after a Call would otherwise race.
-	tasksParallel  atomic.Uint64
-	tasksSerial    atomic.Uint64
-	peakConcurrent atomic.Int64
-	execBySP       map[string]uint64
-	pendingGC      map[gcKey]int // (stream, batch) → consumers yet to commit
+	execBySP       map[string]uint64 // partition-goroutine only
+	pendingGC      map[gcKey]int     // (stream, batch) → consumers yet to commit
 
 	insertSQL map[string]string // cached INSERT statement per stream
 
@@ -85,38 +69,6 @@ type partition struct {
 	archSite *storage.ArchiveSite
 
 	done chan struct{}
-}
-
-// maxRun bounds how many queued tasks the dispatcher pops per run; it
-// also sizes the preallocated spRun entries, so the no-conflict fast
-// path allocates nothing per task beyond what serial execution does.
-const maxRun = 32
-
-// parallel is a partition's worker pool plus the dispatcher's
-// preallocated run buffers.
-type parallel struct {
-	workers int
-	// work feeds wave members to the worker goroutines; the dispatcher
-	// blocks on wg until the whole wave's bodies finished.
-	work chan *spRun
-	wg   sync.WaitGroup
-
-	runBuf  []*task         // PopRun destination, len maxRun
-	accBuf  []*ee.AccessSet // access sets of the wave under construction
-	entries []spRun         // per-wave execution state, len maxRun
-}
-
-// spRun is one transaction execution's state, split so a wave's bodies
-// can run on workers while begin (txn-ID assignment) and retirement
-// (log, commit, trigger dispatch, reply) stay on the dispatcher in
-// admission order.
-type spRun struct {
-	t    *task
-	sp   *StoredProc
-	tx   *txn.Txn
-	ectx *ee.ExecCtx
-	pc   *ProcCtx
-	err  error
 }
 
 type gcKey struct {
@@ -135,35 +87,10 @@ func newPartition(id int, eng *Engine) *partition {
 		views:     storage.NewViews(cat),
 		readPlans: make(map[string]*ee.ReadPlan),
 		spAccess:  make(map[string]*ee.AccessSet),
-		spWave:    make(map[string]bool),
 		execBySP:  make(map[string]uint64),
 		pendingGC: make(map[gcKey]int),
 		insertSQL: make(map[string]string),
 		done:      make(chan struct{}),
-	}
-}
-
-// startWorkers arms the partition's parallel dispatcher with a worker
-// pool of the given size.
-func (p *partition) startWorkers(workers int) {
-	p.par = &parallel{
-		workers: workers,
-		work:    make(chan *spRun, maxRun),
-		runBuf:  make([]*task, maxRun),
-		accBuf:  make([]*ee.AccessSet, 0, maxRun),
-		entries: make([]spRun, maxRun),
-	}
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-}
-
-// worker executes wave members' bodies; everything else about the TE
-// stays on the dispatcher goroutine.
-func (p *partition) worker() {
-	for r := range p.par.work {
-		p.runSPBody(r)
-		p.par.wg.Done()
 	}
 }
 
@@ -172,148 +99,31 @@ func (p *partition) worker() {
 // execute returns, i.e. after the TE committed (or aborted) and its
 // triggered children were enqueued — so Drain cannot observe a
 // momentarily-empty queue while a workflow is still unfolding.
-//
-// With Options.Workers > 1 the goroutine is a dispatcher instead: it
-// pops a run of queued tasks, partitions the run into waves of
-// mutually non-conflicting TEs (by declared access sets), executes
-// each wave's bodies concurrently on the worker pool, and retires them
-// in admission order — txn-ID assignment, command log, Commit, trigger
-// dispatch, reply, and views bracketing all stay here, so the logged
-// schedule, replay, and snapshot read views are identical to serial
-// execution.
 func (p *partition) run() {
 	defer close(p.done)
-	if p.par == nil {
-		for {
-			t, ok := p.sched.Pop()
-			if !ok {
-				return
-			}
-			// Bracket the task for the snapshot read path: views pin only
-			// between tasks, so they never see a half-executed (or not yet
-			// rolled back) transaction.
-			p.views.BeginTask()
-			p.execute(t)
-			p.views.EndTask()
-			if p.sched.track != nil {
-				p.sched.track.done()
-			}
-			putTask(t)
-		}
-	}
-	defer close(p.par.work)
 	for {
-		n, wave, ok := p.sched.PopRun(p.par.runBuf, p.waveEligible)
+		t, ok := p.sched.Pop()
 		if !ok {
 			return
 		}
-		if !wave || n == 1 {
-			p.runSerialTask(p.par.runBuf[0])
-			continue
-		}
-		p.runParallel(p.par.runBuf[:n])
-	}
-}
-
-// runSerialTask executes one task exactly as the classic serial loop
-// does: the in-order fallback for conflicting, serial-only, control,
-// and lone tasks.
-func (p *partition) runSerialTask(t *task) {
-	p.views.BeginTask()
-	p.execute(t)
-	p.views.EndTask()
-	p.tasksSerial.Add(1)
-	if p.sched.track != nil {
-		p.sched.track.done()
-	}
-	putTask(t)
-}
-
-// runParallel executes a popped run: greedy consecutive waves of
-// mutually non-conflicting TEs. A wave ends at the first task whose
-// declared access set conflicts with any wave member — it starts the
-// next wave — so tasks never reorder across a conflict and the commit
-// order is exactly admission order.
-func (p *partition) runParallel(ts []*task) {
-	i := 0
-	for i < len(ts) {
-		accs := p.par.accBuf[:0]
-		j := i
-		for j < len(ts) {
-			acc := p.declaredAccess(ts[j].sp)
-			if conflictsAny(accs, acc) {
-				break
-			}
-			accs = append(accs, acc)
-			j++
-		}
-		if j-i == 1 {
-			p.runSerialTask(ts[i])
-		} else {
-			p.executeWave(ts[i:j])
-		}
-		i = j
-	}
-}
-
-// executeWave runs a wave of mutually non-conflicting TEs: bodies
-// concurrent on the worker pool, everything else on the dispatcher in
-// admission order. The whole wave sits inside one BeginTask/EndTask
-// bracket with AdvanceTask between retirements, so snapshot reads can
-// never pin an interior boundary (wave bodies interleave their
-// mutations, so interior boundaries never exist as physical states)
-// while the completed-task count stays identical to serial execution.
-func (p *partition) executeWave(ts []*task) {
-	// Prefill the INSERT statement cache on the dispatcher: workers
-	// only read it. A miss here surfaces in the body, which fails with
-	// the same error serial execution would report.
-	for _, t := range ts {
-		if len(t.batch) > 0 && t.inputStream != "" && t.kind != wal.KindInterior {
-			_, _ = p.insertStmtFor(t.inputStream)
-		}
-	}
-	p.views.BeginTask()
-	entries := p.par.entries[:len(ts)]
-	for i, t := range ts {
-		// Txn IDs are assigned here, in admission order, exactly as the
-		// serial loop would.
-		p.beginSP(&entries[i], t, p.eng.procs[t.sp], p.declaredAccess(t.sp))
-	}
-	p.par.wg.Add(len(entries))
-	for i := range entries {
-		p.par.work <- &entries[i]
-	}
-	p.par.wg.Wait()
-	if c := int64(min(len(entries), p.par.workers)); c > p.peakConcurrent.Load() {
-		p.peakConcurrent.Store(c)
-	}
-	for i := range entries {
-		p.retireSP(&entries[i])
-		t := entries[i].t
-		p.recycleRun(&entries[i]) // zeroes the entry, releasing references
-		putTask(t)
-		p.tasksParallel.Add(1)
+		// Bracket the task for the snapshot read path: views pin only
+		// between tasks, so they never see a half-executed (or not yet
+		// rolled back) transaction.
+		p.views.BeginTask()
+		p.execute(t)
+		p.views.EndTask()
 		if p.sched.track != nil {
 			p.sched.track.done()
 		}
-		if i < len(entries)-1 {
-			p.views.AdvanceTask()
-		}
+		putTask(t)
 	}
-	p.views.EndTask()
 }
 
-// execute runs one queued task on the partition goroutine (or, for a
-// parallel partition, on the dispatcher as the serial fallback).
+// execute runs one queued task on the partition goroutine.
 // Everything below here — SP bodies, commit, trigger dispatch — must
 // compute the same state on a live run and on a serial replay of the
-// command log; that obligation extends to the beginSP / runSPBody /
-// retireSP pieces executeSP splits into, because the parallel
-// dispatcher runs the same pieces — bodies on workers, begin and
-// retirement on the dispatcher in admission order — and its result
-// must be byte-identical to this serial path. Control thunks
-// (t.control) are engine plumbing that runs outside the logged
-// schedule and carries its own obligations.
+// command log. Control thunks (t.control) are engine plumbing that
+// runs outside the logged schedule and carries its own obligations.
 //
 //sstore:deterministic
 func (p *partition) execute(t *task) {
@@ -346,74 +156,52 @@ func (p *partition) noteTriggerErr(err error) {
 }
 
 // executeSP runs one transaction execution end to end: body, command
-// log, commit, PE-trigger dispatch, stream GC. The pieces — beginSP,
-// runSPBody, retireSP — are shared with the parallel dispatcher, which
-// runs bodies of non-conflicting TEs concurrently; here they run
-// back-to-back on the partition goroutine.
+// log, commit, PE-trigger dispatch, stream GC, reply.
 func (p *partition) executeSP(t *task) {
 	sp, ok := p.eng.procs[t.sp]
 	if !ok {
 		p.replyTo(t, nil, fmt.Errorf("pe: unknown stored procedure %q", t.sp))
 		return
 	}
-	var r spRun
-	p.beginSP(&r, t, sp, p.declaredAccess(t.sp))
-	p.runSPBody(&r)
-	p.retireSP(&r)
-	p.recycleRun(&r)
-}
-
-// beginSP assigns the transaction ID and builds the execution state.
-// Dispatcher-goroutine only, in admission order — so txn IDs are
-// identical to serial execution regardless of how bodies interleave.
-func (p *partition) beginSP(r *spRun, t *task, sp *StoredProc, allowed *ee.AccessSet) {
 	tx := p.beginTxn()
 	ectx := p.getECtx()
-	ectx.Reset(t.sp, t.batchID, tx, allowed)
+	ectx.Reset(t.sp, t.batchID, tx, p.declaredAccess(t.sp))
 	pc := p.getProcCtx()
 	*pc = ProcCtx{part: p, ectx: ectx, params: t.params, batch: t.batch, batchID: t.batchID}
-	*r = spRun{t: t, sp: sp, tx: tx, ectx: ectx, pc: pc}
+	p.retireSP(t, tx, pc, p.runSPBody(t, sp, tx, pc))
+	p.recycleTxn(tx)
+	p.recycleECtx(ectx)
+	p.recycleProcCtx(pc)
 }
 
-// runSPBody executes the TE's body — batch placement plus the
-// procedure function — recording the outcome in r.err. This is the
-// only piece that runs off the dispatcher goroutine (on a worker, for
-// wave members); it touches only tables inside the TE's declared
-// access set, r's own state, and the executor's locked plan cache.
-func (p *partition) runSPBody(r *spRun) {
-	t := r.t
-	r.err = func() error {
-		// Border TEs ingest their batch: the tuples are appended to
-		// the input stream inside the TE, so batch arrival and its
-		// processing commit atomically (§2.1). Interior TEs whose
-		// batch was relocated here by cross-partition dispatch — and
-		// hand-off TEs, whose batch arrived from another node — place
-		// the moved rows the same way, but without re-firing EE
-		// triggers: the rows already entered the system once, at the
-		// producing partition.
-		if len(t.batch) > 0 && t.inputStream != "" {
-			if t.kind == wal.KindInterior || t.kind == wal.KindHandoff {
-				if err := p.placeMovedBatch(t.inputStream, t.batch, t.batchID, r.tx); err != nil {
-					return err
-				}
-			} else if err := p.insertBatch(t.inputStream, t.batch, r.ectx); err != nil {
+// runSPBody executes the TE's body: batch placement plus the
+// procedure function.
+func (p *partition) runSPBody(t *task, sp *StoredProc, tx *txn.Txn, pc *ProcCtx) error {
+	// Border TEs ingest their batch: the tuples are appended to the
+	// input stream inside the TE, so batch arrival and its processing
+	// commit atomically (§2.1). Interior TEs whose batch was relocated
+	// here by cross-partition dispatch — and hand-off TEs, whose batch
+	// arrived from another node — place the moved rows the same way,
+	// but without re-firing EE triggers: the rows already entered the
+	// system once, at the producing partition.
+	if len(t.batch) > 0 && t.inputStream != "" {
+		if t.kind == wal.KindInterior || t.kind == wal.KindHandoff {
+			if err := p.placeMovedBatch(t.inputStream, t.batch, t.batchID, tx); err != nil {
 				return err
 			}
+		} else if err := p.insertBatch(t.inputStream, t.batch, pc.ectx); err != nil {
+			return err
 		}
-		return r.sp.Func(r.pc)
-	}()
+	}
+	return sp.Func(pc)
 }
 
-// retireSP finishes the TE in admission order on the dispatcher
-// goroutine: rollback on failure, else command log, commit, trigger
-// dispatch, GC, and reply. An aborted wave member rolls back here —
-// safe after other bodies ran, because wave write sets are disjoint.
-func (p *partition) retireSP(r *spRun) {
-	t := r.t
-	err := r.err
+// retireSP finishes the TE given its body's outcome: rollback on
+// failure, else command log, commit, trigger dispatch, GC, and reply.
+func (p *partition) retireSP(t *task, tx *txn.Txn, pc *ProcCtx, err error) {
 	if err != nil {
 		p.aborted.Add(1)
-		if rbErr := r.tx.Rollback(); rbErr != nil {
+		if rbErr := tx.Rollback(); rbErr != nil {
 			err = fmt.Errorf("%w (rollback: %v)", err, rbErr)
 		}
 		p.retainRelocatedBatch(t)
@@ -423,7 +211,7 @@ func (p *partition) retireSP(r *spRun) {
 	}
 	if err := p.logCommit(t); err != nil {
 		p.aborted.Add(1)
-		if rbErr := r.tx.Rollback(); rbErr != nil {
+		if rbErr := tx.Rollback(); rbErr != nil {
 			err = fmt.Errorf("%w (rollback: %v)", err, rbErr)
 		}
 		p.retainRelocatedBatch(t)
@@ -436,14 +224,14 @@ func (p *partition) retireSP(r *spRun) {
 		p.replyTo(t, nil, fmt.Errorf("pe: command log: %w", err))
 		return
 	}
-	if err := r.tx.Commit(); err != nil {
+	if err := tx.Commit(); err != nil {
 		p.replyTo(t, nil, err)
 		return
 	}
 	p.executed.Add(1)
 	p.execBySP[t.sp]++
-	p.afterCommit(t, r.ectx.Appends)
-	res := r.pc.result
+	p.afterCommit(t, pc.ectx.Appends)
+	res := pc.result
 	if res == nil {
 		res = &Result{}
 	}
@@ -452,9 +240,7 @@ func (p *partition) retireSP(r *spRun) {
 }
 
 // insertStmtFor returns (caching on success) the INSERT statement for
-// a stream. The cache is written only by the dispatcher goroutine; the
-// parallel dispatcher prefills it before launching a wave, so worker
-// bodies only read it.
+// a stream.
 func (p *partition) insertStmtFor(streamName string) (string, error) {
 	if stmt, ok := p.insertSQL[streamName]; ok {
 		return stmt, nil

@@ -13,9 +13,8 @@ import (
 // carrying task to another queue), so they recycle through one global
 // sync.Pool and are returned by whichever partition retires them.
 // Txn/ExecCtx/ProcCtx never leave their partition: they recycle through
-// per-partition free lists touched only on the dispatcher goroutine —
-// beginSP pops in admission order, recycleRun pushes back at
-// retirement — so the lists need no locking.
+// per-partition free lists touched only on the partition goroutine, so
+// the lists need no locking.
 //
 // Deliberately NOT pooled: batch row slices and rows (they outlive the
 // TE inside stream tables and the WAL), reply channels (the receiver
@@ -43,7 +42,7 @@ func putTask(t *task) {
 const maxFreeStructs = 256
 
 // beginTxn assigns the next transaction ID to a pooled (or fresh) Txn.
-// Dispatcher-goroutine only, like nextTxn itself.
+// Partition-goroutine only, like nextTxn itself.
 func (p *partition) beginTxn() *txn.Txn {
 	p.nextTxn++
 	if n := len(p.txnFree) - 1; n >= 0 {
@@ -107,15 +106,4 @@ func (p *partition) recycleProcCtx(pc *ProcCtx) {
 	if len(p.pcFree) < maxFreeStructs {
 		p.pcFree = append(p.pcFree, pc)
 	}
-}
-
-// recycleRun returns a retired TE's partition-confined structs to the
-// free lists. The task is NOT recycled here — the run loop (or
-// executeWave) owns that, because control and nested tasks retire
-// without an spRun.
-func (p *partition) recycleRun(r *spRun) {
-	p.recycleTxn(r.tx)
-	p.recycleECtx(r.ectx)
-	p.recycleProcCtx(r.pc)
-	*r = spRun{}
 }

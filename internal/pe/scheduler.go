@@ -131,10 +131,6 @@ func (d *deque) popFront() *task {
 	return t
 }
 
-// peekFront returns the first element without popping; the caller must
-// have checked len() > 0.
-func (d *deque) peekFront() *task { return d.buf[d.head] }
-
 func (d *deque) forEach(fn func(*task)) {
 	for i := 0; i < d.n; i++ {
 		fn(d.buf[(d.head+i)&(len(d.buf)-1)])
@@ -276,52 +272,6 @@ func (s *scheduler) Pop() (*task, bool) {
 		return s.back.popFront(), true
 	}
 	return nil, false
-}
-
-// PopRun blocks like Pop for the first task, then — when that task is
-// eligible — drains further immediately-available eligible tasks into
-// buf (front queue first, the same order Pop would yield), stopping at
-// the first ineligible task, which stays queued. It never waits for
-// more work once it holds one task. Returns the number of tasks
-// popped; wave=false means the single popped task was ineligible and
-// must run serially. ok=false means closed and drained.
-//
-// The eligible callback runs under the scheduler lock and must not
-// call back into the scheduler.
-func (s *scheduler) PopRun(buf []*task, eligible func(*task) bool) (n int, wave, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.front.len() == 0 && s.back.len() == 0 && !s.closed {
-		s.cond.Wait()
-	}
-	if s.front.len() == 0 && s.back.len() == 0 {
-		return 0, false, false
-	}
-	pop := func() *task {
-		if s.front.len() > 0 {
-			return s.front.popFront()
-		}
-		return s.back.popFront()
-	}
-	buf[0] = pop()
-	n = 1
-	if !eligible(buf[0]) {
-		return n, false, true
-	}
-	for n < len(buf) && s.front.len()+s.back.len() > 0 {
-		var next *task
-		if s.front.len() > 0 {
-			next = s.front.peekFront()
-		} else {
-			next = s.back.peekFront()
-		}
-		if !eligible(next) {
-			break
-		}
-		buf[n] = pop()
-		n++
-	}
-	return n, true, true
 }
 
 // ForEachQueued visits every queued task (front queue first) under

@@ -18,8 +18,8 @@ type ProcFunc func(ctx *ProcCtx) error
 // body, so the declaration is the per-SP aggregation of statement
 // access sets — and it is enforced: each statement's compiled access
 // must be covered by the declaration or the statement errors, aborting
-// the TE, so a wrong declaration fails loudly instead of racing.
-// The consumed input stream is added automatically.
+// the TE, so a wrong declaration fails loudly. The consumed input
+// stream is added automatically.
 type ProcAccess struct {
 	Reads  []string
 	Writes []string
@@ -34,11 +34,30 @@ type StoredProc struct {
 	// Func is the procedure body.
 	Func ProcFunc
 	// Access, when non-nil, declares the body's read/write footprint,
-	// making the procedure a candidate for intra-partition parallel
-	// execution (Options.Workers): TEs whose declared sets do not
-	// conflict may run concurrently. Nil means the accesses are
-	// unknown and the procedure is serial-only.
+	// and every statement the body runs is checked against it. Nil
+	// means the accesses are undeclared and unchecked.
 	Access *ProcAccess
+}
+
+// declaredAccess resolves (and caches) a stored procedure's declared
+// access set: the registration-time declaration plus the consumed
+// input stream, which the engine itself writes on the procedure's
+// behalf (batch placement and post-commit GC). Nil means undeclared,
+// and statement enforcement is off. Partition-goroutine only.
+func (p *partition) declaredAccess(name string) *ee.AccessSet {
+	if acc, ok := p.spAccess[name]; ok {
+		return acc
+	}
+	var acc *ee.AccessSet
+	if sp := p.eng.procs[name]; sp != nil && sp.Access != nil {
+		writes := sp.Access.Writes
+		if in := p.eng.spInput[name]; in != "" {
+			writes = append(append([]string(nil), writes...), in)
+		}
+		acc = ee.NewAccessSet(sp.Access.Reads, writes)
+	}
+	p.spAccess[name] = acc
+	return acc
 }
 
 // ProcCtx is a transaction execution's view of the engine: parameter

@@ -20,11 +20,7 @@ import (
 //     boundary ("epoch"). Pin blocks — off the queue, on a condition
 //     variable — until no task is mid-flight, so a view's epoch is
 //     always a real boundary: all effects of tasks ≤ epoch, nothing
-//     from later tasks, and never a half-executed transaction. A
-//     parallel dispatcher brackets a whole run of concurrently-executed
-//     tasks in one BeginTask/EndTask pair, advancing interior
-//     boundaries with AdvanceTask; pins wait out the full run, since
-//     its interior boundaries never exist as physical states.
+//     from later tasks, and never a half-executed transaction.
 //   - Every live row is stamped with installedAt, the task that
 //     installed it. While a pinned reader can still see a row's
 //     current state (maxPinned ≥ installedAt), a mutation first pushes
@@ -108,9 +104,7 @@ type Views struct {
 	cat  *Catalog
 
 	// epoch counts completed tasks; it is the current commit boundary.
-	// Atomic because wave workers push versions (reading curTask) while
-	// AdvanceTask publishes interior boundaries.
-	epoch  atomic.Uint64
+	epoch  uint64
 	inTask bool
 	// pinTicket/pinServed implement bounded boundary handoff: a pin
 	// takes a ticket on arrival, and BeginTask waits for every ticket
@@ -173,7 +167,7 @@ func (v *Views) BeginTask() {
 		v.cond.Wait()
 	}
 	v.inTask = true
-	v.curTask.Store(v.epoch.Load() + 1)
+	v.curTask.Store(v.epoch + 1)
 	v.mu.Unlock()
 	v.drainRetired()
 }
@@ -181,24 +175,9 @@ func (v *Views) BeginTask() {
 // EndTask publishes the task's commit boundary and wakes pinners.
 func (v *Views) EndTask() {
 	v.mu.Lock()
-	v.epoch.Add(1)
+	v.epoch++
 	v.inTask = false
 	v.cond.Broadcast()
-	v.mu.Unlock()
-}
-
-// AdvanceTask publishes one task's boundary inside a parallel run
-// WITHOUT admitting pins: the parallel dispatcher brackets a whole run
-// of concurrently-executed tasks in one BeginTask/EndTask pair and
-// calls AdvanceTask between retirements, so the completed-task count
-// matches serial execution while pins can never land on an interior
-// boundary. Interior boundaries are not real states — the run's bodies
-// interleaved their mutations — so a pin must wait for the run's final
-// EndTask, which it does because inTask stays true throughout.
-func (v *Views) AdvanceTask() {
-	v.mu.Lock()
-	e := v.epoch.Add(1)
-	v.curTask.Store(e + 1)
 	v.mu.Unlock()
 }
 
@@ -216,7 +195,7 @@ func (v *Views) Pin() *ReadView {
 		v.cond.Wait()
 	}
 	rv := v.getView()
-	rv.epoch = v.epoch.Load()
+	rv.epoch = v.epoch
 	v.cat.forEach(func(key string, t *Table) {
 		aggs := t.MaintainedAggregates()
 		if len(aggs) == 0 {

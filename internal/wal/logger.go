@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // SyncPolicy controls when appended records become durable.
@@ -24,10 +23,6 @@ const (
 	// individually durable before it is acknowledged. This is the
 	// "no group commit" configuration of the paper's Figure 9a.
 	SyncEachCommit SyncPolicy = iota
-	// SyncGroup batches appends and fsyncs once per group window,
-	// releasing all waiting commits together (H-Store's group
-	// commit, §3.1).
-	SyncGroup
 	// SyncNone buffers writes and never fsyncs explicitly (flush on
 	// close); used when durability is disabled for throughput
 	// experiments ("logging disabled unless otherwise specified",
@@ -41,9 +36,6 @@ type Options struct {
 	Path string
 	// Policy selects the durability mode.
 	Policy SyncPolicy
-	// GroupWindow is the flush interval under SyncGroup; it defaults
-	// to 2ms, a typical group-commit window.
-	GroupWindow time.Duration
 	// Seq, when non-nil, is a sequence counter shared with other
 	// loggers (a LogSet): records appended to any of them draw LSNs
 	// from one lock-free global commit sequence, so total commit
@@ -137,17 +129,6 @@ type Logger struct {
 	// before the mutex releases, so one buffer serves every append.
 	enc []byte
 
-	// Group-commit state. The flusher sleeps until kicked by the
-	// first waiter of a group, then syncs once the group window
-	// (measured from the previous sync) has elapsed — so an idle log
-	// never ticks and a waiter arriving after an idle period longer
-	// than the window is synced immediately.
-	waiters  []chan error
-	kick     chan struct{}
-	lastSync time.Time
-	stop     chan struct{}
-	done     chan struct{}
-
 	appends uint64
 	syncs   uint64
 	// bytes counts appended bytes since open, monotonically (rotation
@@ -159,9 +140,6 @@ type Logger struct {
 // Open creates or appends to the log file. An existing log should be
 // read with ReadAll before opening for writes.
 func Open(opts Options) (*Logger, error) {
-	if opts.GroupWindow <= 0 {
-		opts.GroupWindow = 2 * time.Millisecond
-	}
 	// Appends always continue in the highest existing segment — even
 	// when rotation is now off — so segment order keeps matching LSN
 	// order for readers.
@@ -184,22 +162,14 @@ func Open(opts Options) (*Logger, error) {
 	if seq == nil {
 		seq = new(atomic.Uint64)
 	}
-	l := &Logger{
-		f:        f,
-		w:        bufio.NewWriterSize(f, 1<<16),
-		seq:      seq,
-		opts:     opts,
-		segIdx:   segIdx,
-		segSize:  st.Size(),
-		lastSync: time.Now(),
-	}
-	if opts.Policy == SyncGroup {
-		l.kick = make(chan struct{}, 1)
-		l.stop = make(chan struct{})
-		l.done = make(chan struct{})
-		go l.groupFlusher()
-	}
-	return l, nil
+	return &Logger{
+		f:       f,
+		w:       bufio.NewWriterSize(f, 1<<16),
+		seq:     seq,
+		opts:    opts,
+		segIdx:  segIdx,
+		segSize: st.Size(),
+	}, nil
 }
 
 // Append assigns the record the next sequence number, writes it, and
@@ -229,27 +199,12 @@ func (l *Logger) Append(rec *Record) (uint64, error) {
 			return 0, err
 		}
 	}
-	switch l.opts.Policy {
-	case SyncEachCommit:
-		err := l.flushAndSyncLocked()
-		l.mu.Unlock()
-		return rec.LSN, err
-	case SyncNone:
-		l.mu.Unlock()
-		return rec.LSN, nil
-	default: // SyncGroup
-		ch := make(chan error, 1)
-		l.waiters = append(l.waiters, ch)
-		first := len(l.waiters) == 1
-		l.mu.Unlock()
-		if first {
-			select {
-			case l.kick <- struct{}{}:
-			default:
-			}
-		}
-		return rec.LSN, <-ch
+	var err error
+	if l.opts.Policy == SyncEachCommit {
+		err = l.flushAndSyncLocked()
 	}
+	l.mu.Unlock()
+	return rec.LSN, err
 }
 
 func (l *Logger) flushAndSyncLocked() error {
@@ -260,8 +215,6 @@ func (l *Logger) flushAndSyncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	//lint:allow replaydet -- group-commit pacing stamp; affects flush batching, never logged state
-	l.lastSync = time.Now()
 	return nil
 }
 
@@ -287,51 +240,6 @@ func (l *Logger) rotateLocked() error {
 	return nil
 }
 
-// groupFlusher releases group-commit waiters. It is kicked by the
-// first waiter of each group and syncs once the group window has
-// elapsed since the previous sync — immediately, when the log has been
-// idle past the window, rather than making every group sleep the full
-// window.
-func (l *Logger) groupFlusher() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.stop:
-			l.flushGroup()
-			return
-		case <-l.kick:
-			l.mu.Lock()
-			wait := l.opts.GroupWindow - time.Since(l.lastSync)
-			l.mu.Unlock()
-			if wait > 0 {
-				timer := time.NewTimer(wait)
-				select {
-				case <-timer.C:
-				case <-l.stop:
-					timer.Stop()
-					l.flushGroup()
-					return
-				}
-			}
-			l.flushGroup()
-		}
-	}
-}
-
-func (l *Logger) flushGroup() {
-	l.mu.Lock()
-	waiters := l.waiters
-	l.waiters = nil
-	var err error
-	if len(waiters) > 0 {
-		err = l.flushAndSyncLocked()
-	}
-	l.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- err
-	}
-}
-
 // Stats reports the number of appended records and fsync calls; the
 // Figure 9a experiment compares these across recovery modes.
 func (l *Logger) Stats() (appends, syncs uint64) {
@@ -349,10 +257,6 @@ func (l *Logger) Bytes() uint64 {
 
 // Close flushes buffered records and closes the file.
 func (l *Logger) Close() error {
-	if l.stop != nil {
-		close(l.stop)
-		<-l.done
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.w.Flush(); err != nil {

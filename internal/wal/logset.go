@@ -9,14 +9,13 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // LogSet shards the command log one file per partition, the way
 // H-Store logs per execution site (§3.1): each partition appends to
-// its own Logger — its own file, its own mutex, its own group-commit
-// flusher — so durability-on configurations scale with partitions
-// instead of serializing on one fsync queue. Every record is stamped
+// its own Logger — its own file, its own mutex, its own fsyncs — so
+// durability-on configurations scale with partitions instead of
+// serializing on one fsync queue. Every record is stamped
 // from one lock-free global commit sequence, so the per-partition
 // files merge back into total commit order for strong recovery.
 type LogSet struct {
@@ -37,8 +36,6 @@ type SetOptions struct {
 	Partitions int
 	// Policy selects the durability mode, per Logger.
 	Policy SyncPolicy
-	// GroupWindow is the flush interval under SyncGroup.
-	GroupWindow time.Duration
 	// SegmentBytes rotates each partition's log into bounded segments,
 	// per Logger.Options: sealed segments age out whole during
 	// compaction instead of being rewritten. Zero keeps one file per
@@ -79,7 +76,6 @@ func OpenSet(opts SetOptions) (*LogSet, error) {
 		l, err := Open(Options{
 			Path:         PartitionPath(opts.Path, pid),
 			Policy:       opts.Policy,
-			GroupWindow:  opts.GroupWindow,
 			Seq:          &s.seq,
 			SegmentBytes: opts.SegmentBytes,
 		})

@@ -2,10 +2,8 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestLogSetGlobalSequence(t *testing.T) {
@@ -139,33 +137,6 @@ func TestLogSetCompactBefore(t *testing.T) {
 		t.Fatalf("post-append merged tail = %v (%v), want LSN 9", merged, err)
 	}
 	s.Close()
-}
-
-func TestGroupCommitFlushesImmediatelyWhenDue(t *testing.T) {
-	// A waiter arriving after the log has been idle longer than the
-	// group window must not sleep another full window: the sync is
-	// already due, so it flushes immediately.
-	path := filepath.Join(t.TempDir(), "cmd.log")
-	const window = 300 * time.Millisecond
-	l, err := Open(Options{Path: path, Policy: SyncGroup, GroupWindow: window})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	// First append pays up to one window (the timer arms at open).
-	if _, err := l.Append(testRecord(KindOLTP, "A", 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Idle past the window, then append: the flush must come well
-	// under a full window.
-	time.Sleep(window + 50*time.Millisecond)
-	start := time.Now()
-	if _, err := l.Append(testRecord(KindOLTP, "B", 2)); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > window/2 {
-		t.Errorf("overdue sync took %v, want immediate (window %v)", d, window)
-	}
 }
 
 func TestLogSetPartitionSubset(t *testing.T) {

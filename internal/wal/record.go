@@ -1,11 +1,11 @@
 // Package wal implements the durability substrate the paper inherits
 // from H-Store (§3.1) and extends for streaming (§3.2.5): a command log
 // that records committed stored-procedure invocations (name plus input
-// parameters, not data pages), with optional group commit, plus
+// parameters, not data pages), fsynced on every commit or never, plus
 // snapshot checkpoint files. The log is sharded one file per partition
-// (LogSet): each execution site logs to its own file with its own
-// group-commit flusher, and a shared lock-free commit sequence stamps
-// every record so the shards merge back into total commit order.
+// (LogSet): each execution site logs to its own file, and a shared
+// lock-free commit sequence stamps every record so the shards merge
+// back into total commit order.
 //
 // The streaming recovery modes differ only in *which* transactions get
 // logged: strong recovery logs every TE, weak recovery logs border TEs

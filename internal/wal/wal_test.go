@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"sstore/internal/storage"
 	"sstore/internal/types"
@@ -85,43 +84,6 @@ func TestTornTailIgnored(t *testing.T) {
 	recs, err = ReadAll(path)
 	if err != nil || len(recs) != 1 || recs[0].SP != "A" {
 		t.Fatalf("corrupt record: %d records, %v", len(recs), err)
-	}
-}
-
-func TestGroupCommitReleasesWaiters(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cmd.log")
-	l, err := Open(Options{Path: path, Policy: SyncGroup, GroupWindow: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 10)
-	for i := 0; i < 10; i++ {
-		go func(i int64) {
-			_, err := l.Append(testRecord(KindOLTP, "G", i))
-			done <- err
-		}(int64(i))
-	}
-	for i := 0; i < 10; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("group commit did not release waiters")
-		}
-	}
-	appends, syncs := l.Stats()
-	if appends != 10 {
-		t.Errorf("appends = %d", appends)
-	}
-	if syncs >= appends {
-		t.Errorf("group commit should batch: %d syncs for %d appends", syncs, appends)
-	}
-	l.Close()
-	recs, _ := ReadAll(path)
-	if len(recs) != 10 {
-		t.Errorf("records = %d", len(recs))
 	}
 }
 

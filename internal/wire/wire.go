@@ -107,7 +107,7 @@ const (
 	Magic = "SSTR"
 	// ProtocolVersion is bumped on any incompatible framing or op
 	// change; peers reject a mismatch at connection open.
-	ProtocolVersion uint8 = 1
+	ProtocolVersion uint8 = 2
 	// HelloSize is the handshake's wire size: magic + version byte.
 	HelloSize = len(Magic) + 1
 )
@@ -156,8 +156,7 @@ const MaxFrame = 64 << 20
 // carried as is by an OpStats response. Every field is a uint64
 // counter, encoded in declaration order as a counted list of uvarints,
 // so a decoder tolerates a server with more (or fewer) counters: add a
-// counter by appending a field. A field tagged `stats:"max"` is a
-// maximum rather than a running count, and Add keeps the larger value.
+// counter by appending a field. Every counter is a running count.
 type Stats struct {
 	Executed    uint64
 	Aborted     uint64
@@ -182,16 +181,6 @@ type Stats struct {
 	// interior TEs and trigger-dispatch misses) cumulatively, across
 	// all partitions; unlike Engine.TriggerErr it is never cleared.
 	TriggerErrors uint64
-	// TasksParallel and TasksSerial split dispatcher-executed tasks
-	// by path under Options.Workers: wave members whose bodies ran
-	// concurrently vs serial fallbacks (conflicting, undeclared,
-	// trigger-producing, nested, control, or lone tasks). Both stay
-	// zero on a classic serial engine.
-	TasksParallel uint64
-	TasksSerial   uint64
-	// PeakConcurrent is the maximum number of TE bodies any partition
-	// had in flight at once (1 when never parallel).
-	PeakConcurrent uint64 `stats:"max"`
 	// AutoCheckpoints counts checkpoints taken by the
 	// CheckpointEveryBytes policy.
 	AutoCheckpoints uint64
@@ -208,18 +197,12 @@ func (s *Stats) counters() []*uint64 {
 	return out
 }
 
-// Add folds o into s, as when combining the nodes of a cluster: each
-// counter sums, except that a `stats:"max"` field keeps the larger
-// value.
+// Add folds o into s, as when combining the nodes of a cluster: every
+// counter sums.
 func (s *Stats) Add(o Stats) {
-	typ := reflect.TypeOf(o)
 	src := o.counters()
 	for i, dst := range s.counters() {
-		if typ.Field(i).Tag.Get("stats") == "max" {
-			*dst = max(*dst, *src[i])
-		} else {
-			*dst += *src[i]
-		}
+		*dst += *src[i]
 	}
 }
 

@@ -128,11 +128,9 @@ type SyncPolicy = wal.SyncPolicy
 
 // Command-log sync policies.
 const (
-	// SyncEachCommit makes every commit individually durable (no
-	// group commit).
+	// SyncEachCommit makes every commit individually durable: the
+	// log fsyncs before the commit is acknowledged.
 	SyncEachCommit = wal.SyncEachCommit
-	// SyncGroup batches commits into group-commit windows.
-	SyncGroup = wal.SyncGroup
 	// SyncNone buffers log writes without fsync.
 	SyncNone = wal.SyncNone
 )
@@ -216,12 +214,9 @@ func (e *Engine) RegisterProc(name string, fn ProcFunc) error {
 // RegisterProcAccess registers a stored procedure together with its
 // declared table access footprint: the tables the body reads and
 // writes (the procedure's workflow input stream, if any, is added to
-// the writes automatically). The declaration is enforced — a
-// statement touching an undeclared table fails with an error, under
-// serial and parallel execution alike — and makes the procedure
-// eligible for intra-partition parallelism (Config.Workers): calls
-// whose declared sets don't conflict may run their bodies
-// concurrently. See DESIGN.md §11.
+// the writes automatically). The declaration is enforced: a statement
+// touching an undeclared table fails with an error and aborts the
+// transaction. See DESIGN.md §11.
 func (e *Engine) RegisterProcAccess(name string, reads, writes []string, fn ProcFunc) error {
 	return e.pe.RegisterProc(&pe.StoredProc{
 		Name:   name,
@@ -260,10 +255,7 @@ func (e *Engine) Call(sp string, params ...Value) (*Result, error) {
 type CallResult = pe.CallResult
 
 // CallAsync invokes a stored procedure without waiting; the returned
-// channel receives the outcome. Pipelining calls this way is also what
-// lets a Workers-armed engine form waves of concurrent non-conflicting
-// procedures — a strictly synchronous caller never queues more than
-// one task at a time.
+// channel receives the outcome, so a caller can pipeline calls.
 func (e *Engine) CallAsync(sp string, params ...Value) <-chan CallResult {
 	return e.pe.CallAsync(sp, Row(params))
 }
